@@ -19,13 +19,13 @@ ValueTracking/ScalarEvolution facts:
   the proof leans on the **harness data contract**: ``make_buffers``
   fills integer arrays with ``permutation(n) % min_extent``, so index-
   array *contents* are in ``[0, min_extent)``.  Contract-contingent
-  proofs are sound for measurement buffers only; the native tier guards
-  them with a runtime contract scan before taking the unguarded body.
+  proofs are sound for measurement buffers only, so no executor drops
+  a runtime check on the strength of one.
 * :class:`GuardRangePass` (``guard-range``) — guards proven always/
   never taken (with a separate fold-safe subset whose conditions are
   side-effect-free: no sqrt-counter, no possibly-faulting load), and
-  shift nodes whose count is proven inside the operand width so the
-  native tier can drop its guarded-shift wrappers.
+  shift nodes whose count is proven inside the operand width (reported
+  by ``analyze --ranges``).
 
 :func:`prove_safe` is the kernel-validator API built on top — it
 classifies a kernel as ``proven-safe`` / ``proven-unsafe`` / ``unknown``
@@ -394,8 +394,8 @@ def _cond_side_effect_free(kernel: LoopKernel, cond: Expr, trips: list[int]) -> 
     condition expression stops being evaluated.  That is only sound
     when evaluation has no observable effect besides its value: no
     sqrt (the domain-guard fire counter is parity-checked across
-    tiers), no gather (native counts OOB hits; a faulting index-array
-    read must keep faulting), and no affine load that could fault.
+    tiers), no gather (a faulting index-array read must keep
+    faulting), and no affine load that could fault.
     """
     for node in cond.walk():
         if isinstance(node, UnOp) and node.op is UnOpKind.SQRT:

@@ -1,7 +1,7 @@
 """Value-range abstract interpretation over the loop IR.
 
 The engine answers, *before any iteration runs*, the questions the
-compiled tiers otherwise answer with per-element runtime checks: what
+executors otherwise answer only by running the loop: what
 interval can this scalar hold, can this subscript leave ``[0,
 extent)``, is this guard ever false, can this shift count reach the
 operand width?  It is the repo's analogue of the ValueTracking /
@@ -14,9 +14,8 @@ Three layers:
   extended number line, plus a ``maybe_nan`` bit for float values (a
   compare against a possibly-NaN value is never *definitely* true).
   Integer arithmetic that could leave the operand dtype's value range
-  widens to the full dtype range, mirroring the ``-fwrapv`` wrapping
-  semantics of the native tier rather than pretending overflow cannot
-  happen.
+  widens to the full dtype range, mirroring the wrapping semantics of
+  the NumPy executors rather than pretending overflow cannot happen.
 * an abstract evaluator for every ``Expr`` node under an environment
   mapping scalars and induction variables to intervals.  Loads from
   float arrays are unknown (``[-inf, inf]``, maybe-NaN); loads from
@@ -529,7 +528,7 @@ def analyze_ranges(kernel: LoopKernel, assume_inits: bool = True) -> KernelRange
     ``initial_scalars``.  With ``assume_inits=False`` every scalar
     starts at its dtype top: the resulting facts hold for *any* caller-
     supplied scalar values, which is the contract transforms (guard
-    folding, shift-wrapper elision) must meet because the executors
+    folding) must meet because the executors
     accept scalar overrides.  Per-statement precision for temporaries
     assigned before use is unaffected — only the entry seed differs.
     """

@@ -25,10 +25,9 @@ Contract:
   the cross-call memo; bundles are then rebuilt per call, which is the
   seed-path behavior the benchmarks compare against.
 * ``REPRO_MATRIX_CACHE_DIR`` adds an on-disk tier for warm starts
-  across processes (the advisor service uses it).  Writes follow the
-  native artifact cache's contract — serialized to a tmp file and
-  installed with ``os.replace``, digest recorded in a sha256 sidecar —
-  and loads are corruption-safe: a torn or tampered bundle is evicted
+  across processes (the advisor service uses it).  Writes are atomic
+  — serialized to a tmp file and installed with ``os.replace``, digest
+  recorded in a sha256 sidecar — and loads are corruption-safe: a torn or tampered bundle is evicted
   and rebuilt from the samples, never served and never fatal.
 """
 
@@ -181,7 +180,7 @@ def get_bundle(samples: Sequence) -> MatrixBundle:
     return bundle
 
 
-# -- on-disk tier (corruption-safe, same contract as the native cache) -------
+# -- on-disk tier (atomic writes, sha256 sidecar, corruption-safe loads) -----
 
 #: Bump when the serialized layout changes; foreign-schema files are
 #: evicted and rebuilt, never deserialized into the wrong shape.

@@ -2,7 +2,7 @@
 
 The package turns the fitted speedup models into a *cost oracle* for a
 search over the whole optimization-plan space — VF × interleave ×
-unroll × strategy per kernel (see DESIGN.md §16):
+unroll × strategy per kernel (see DESIGN.md §15):
 
 * :mod:`.points` materializes and measures one
   :class:`~repro.vectorize.plan.PlanPoint` through the analytic

@@ -118,9 +118,6 @@ def build_summary(stats) -> str:
     tiers = getattr(stats, "tiers", None)
     if tiers:
         text += "; tiers " + "/".join(f"{k}={v}" for k, v in sorted(tiers.items()))
-        build_s = getattr(stats, "compile_build_s", 0.0)
-        if build_s:
-            text += f", {build_s:.2f}s native builds"
     return text
 
 

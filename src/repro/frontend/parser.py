@@ -163,7 +163,10 @@ class _Parser:
         if ts.expect("ident").text != var:
             raise self._err("loop condition must test the loop variable")
         ts.expect("op", "<")
-        trip = int(ts.expect("int").text)
+        tok = ts.expect("int")
+        trip = int(tok.text)
+        if trip < 1:
+            raise ParseError(f"line {tok.line}: loop trip count must be >= 1, got {trip}")
         ts.expect("op", ";")
         if ts.expect("ident").text != var:
             raise self._err("loop increment must use the loop variable")

@@ -68,7 +68,7 @@ __all__ = [
 
 #: Trip count / 1-D extent of generated kernels.  Much smaller than the
 #: suite's 32000: the timing model is analytic in the trip count, while
-#: functional runs (guard-probability estimation, native self-checks,
+#: functional runs (guard-probability estimation, compiler self-checks,
 #: the sanitizer crosscheck) execute real iterations — small trips keep
 #: a 1,500-kernel corpus sweep fast.
 GEN_LEN = 1024

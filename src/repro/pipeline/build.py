@@ -202,45 +202,27 @@ class DatasetBuildStats:
     supervised: bool = True
     #: Executor-tier counts observed during this sweep (main process
     #: only — pool workers compile in their own address space):
-    #: ``{"native": …, "vector": …, "scalar": …, "native_demoted": …,
-    #: "demoted": …}``.  Empty when nothing was measured in-process.
+    #: ``{"vector": …, "scalar": …, "demoted": …, "interpreted": …}``.
+    #: Empty when nothing was measured in-process.
     tiers: dict = field(default_factory=dict)
-    #: Seconds spent building native ``.so`` artifacts during the sweep.
-    compile_build_s: float = 0.0
-    #: Kernels whose native artifacts were built by the batched
-    #: pre-build (N kernels per ``cc`` invocation) before dispatch.
-    native_prebuilt: int = 0
 
 
 #: compile_summary keys folded into :attr:`DatasetBuildStats.tiers`
 #: (summary key -> tier label).
 _TIER_KEYS = {
-    "kernels_native": "native",
     "kernels_vector": "vector",
     "kernels_scalar": "scalar",
-    "kernels_native_demoted": "native_demoted",
     "kernels_demoted": "demoted",
     "kernels_refused": "interpreted",
 }
 
 
 def _tier_snapshot() -> dict:
-    """Current process-wide compile-tier counters (plus build seconds)."""
+    """Current process-wide compile-tier counters."""
     from ..sim.compile import compile_summary
 
     s = compile_summary()
-    snap = {label: int(s.get(key, 0)) for key, label in _TIER_KEYS.items()}
-    snap["native_build_s"] = float(s.get("native_build_s", 0.0))
-    return snap
-
-
-def _tier_delta(before: dict, after: dict) -> dict:
-    delta = {k: after.get(k, 0) - before.get(k, 0) for k in after}
-    delta["native_build_s"] = round(
-        max(0.0, after.get("native_build_s", 0.0) - before.get("native_build_s", 0.0)),
-        4,
-    )
-    return delta
+    return {label: int(s[key]) for key, label in _TIER_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -272,7 +254,6 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
     from ..ir.stmt import IfBlock
     from ..sim.compile import compile_enabled
     from ..sim.measure import GUARD_SAMPLE_ITERS
-    from ..sim.native import native_available
 
     stmts = max(1, sum(1 for _ in kernel.stmts()))
     work = 2000.0 + 50.0 * stmts
@@ -283,19 +264,7 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
             if kernel.depth == 1
             else min(kernel.loops[0].trip, max(1, GUARD_SAMPLE_ITERS // 4))
         )
-        if compile_enabled() and native_available():
-            # cc invocation + self-check dominate; the per-iteration
-            # cost of a native run is near-free.  This moves the
-            # serial/pool break-even: a mostly-guarded suite that
-            # justified a pool on the NumPy tier often no longer does.
-            # Batched pre-builds amortize the cc invocation over
-            # ``native_batch_size()`` kernels, so a corpus-cold sweep
-            # no longer looks serially cheap when a pool would win
-            # (REPRO_NATIVE_BATCH=1 restores the per-kernel estimate).
-            from ..sim.native import native_batch_size
-
-            work += 3000.0 / native_batch_size() + 0.002 * stmts * inner * outer
-        elif compile_enabled():
+        if compile_enabled():
             # One-time compile + self-check, then a cheap compiled run.
             work += 5000.0 + 0.02 * stmts * inner * outer
         else:
@@ -562,9 +531,6 @@ def measure_suite(
     if pending:
         workers = resolve_workers(workers, pending=len(pending))
         by_name = {k.name: k for k in kernels}
-        prebuilt = _prebuild_pending(by_name, pending)
-        if stats is not None:
-            stats.native_prebuilt = prebuilt
         faults_active = faults is not None and any(
             float(r) > 0 for r in faults.rates.values()
         )
@@ -612,9 +578,10 @@ def measure_suite(
                 on_complete(name, payload)
 
     if stats is not None:
-        delta = _tier_delta(tiers_before, _tier_snapshot())
-        stats.compile_build_s = delta.pop("native_build_s", 0.0)
-        stats.tiers = {k: v for k, v in delta.items() if v}
+        after = _tier_snapshot()
+        stats.tiers = {
+            k: after[k] - tiers_before[k] for k in after if after[k] != tiers_before[k]
+        }
 
     if report.quarantined and not partial:
         raise SweepError(report)
@@ -634,39 +601,6 @@ def measure_suite(
     if partial:
         return samples, failures, report
     return samples, failures
-
-
-def _prebuild_pending(by_name: dict, pending: list) -> int:
-    """Batch-build native artifacts for the pending guarded kernels.
-
-    Guard-probability estimation is the only stage of a sweep that
-    *executes* kernels, and it only runs for guarded ones — so those
-    are the kernels whose native artifacts are worth warming.  Building
-    them here, in the main process and ``native_batch_size()`` kernels
-    per ``cc`` invocation, means pool workers (and the serial path)
-    attach finished artifacts from the shared on-disk cache instead of
-    each paying a one-kernel compile.  Returns the number of artifacts
-    built now (0 when batching or the native tier is unavailable).
-    """
-    from ..ir.stmt import IfBlock
-    from ..sim.compile import compile_enabled
-    from ..sim.native import native_batch_size, prebuild_native
-
-    if not compile_enabled() or native_batch_size() <= 1:
-        return 0
-    guarded = [
-        by_name[n]
-        for n in pending
-        if any(isinstance(s, IfBlock) for s in by_name[n].stmts())
-    ]
-    if not guarded:
-        return 0
-    statuses = prebuild_native(guarded)
-    return sum(
-        1
-        for v in statuses.values()
-        if v in ("exact", "tolerance", "mismatch")
-    )
 
 
 def _resolve_journal(

@@ -43,19 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: a configuration error, not a silently-ignored typo.
 FAULT_KINDS = ("crash", "hang", "corrupt_cache", "flaky_exc")
 
-#: Request-scoped fault kinds for the advisor service (PR 8): a handler
-#: that sleeps past its deadline, a worker thread that dies mid-request,
-#: a registry entry whose bytes rot on disk, and a toolchain that
-#: disappears mid-flight.  Scheduled by the same
+#: Request-scoped fault kinds for the advisor service: a handler that
+#: sleeps past its deadline, a worker thread that dies mid-request, and
+#: a registry entry whose bytes rot on disk.  Scheduled by the same
 #: ``sha256(seed:kind:request:attempt)`` draw as the sweep faults, so a
 #: service chaos run is exactly reproducible.  ``repro.serve`` applies
 #: them; ``REPRO_SERVE_FAULTS`` configures them.
-SERVE_FAULT_KINDS = (
-    "slow_handler",
-    "worker_crash",
-    "corrupt_registry",
-    "toolchain_loss",
-)
+SERVE_FAULT_KINDS = ("slow_handler", "worker_crash", "corrupt_registry")
 
 #: Every kind any plan may carry.
 ALL_FAULT_KINDS = FAULT_KINDS + SERVE_FAULT_KINDS

@@ -24,9 +24,8 @@ Robustness contract:
   the verdict;
 * everything that may legitimately differ under degradation (remarks,
   the ``degraded`` list, timings) lives *outside* the core;
-* the native tier and the analysis prepass sit behind circuit
-  breakers; a tripped breaker demotes to the interpreter tier or
-  skips the prepass with a single consolidated
+* the analysis prepass sits behind a circuit breaker; a tripped
+  breaker skips the prepass with a single consolidated
   ``-Rpass-missed=serve`` remark, never an exception;
 * client errors (unparsable kernel, unknown target, lint-rejected
   body) raise :class:`InvalidRequest` — they are *answers*, not
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..analysis.framework.diagnostics import Diagnostics, Severity
 from ..analysis.framework.lint import lint_kernel
@@ -48,16 +47,8 @@ from ..costmodel.base import sample_from_measurement
 from ..costmodel.llvm_like import LLVMLikeCostModel
 from ..frontend import LexError, ParseError, parse_kernel
 from ..ir.kernel import LoopKernel
-from ..ir.stmt import IfBlock
 from ..ir.verify import VerificationError, verify_kernel
-from ..sim import (
-    GUARD_SAMPLE_ITERS,
-    estimate_guard_probs,
-    make_buffers,
-    native_available,
-    native_enabled,
-    run_scalar_interpreted,
-)
+from ..sim import estimate_guard_probs
 from ..sim.measure import measure_kernel
 from ..targets.registry import available_targets, get_target
 from ..vectorize.plan import VectorizationFailure
@@ -168,7 +159,7 @@ class Advisor:
     """Stateless-per-request verdict engine with stateful protection.
 
     One instance is shared by every worker thread: the registry, the
-    two breakers, and the counters are the only mutable state, each
+    prepass breaker, and the counters are the only mutable state, each
     individually thread-safe.
     """
 
@@ -181,12 +172,6 @@ class Advisor:
         clock=None,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
-        self.native_breaker = CircuitBreaker(
-            "native",
-            failure_threshold=failure_threshold,
-            recovery_time=recovery_time,
-            clock=clock,
-        )
         self.prepass_breaker = CircuitBreaker(
             "prepass",
             failure_threshold=failure_threshold,
@@ -199,27 +184,17 @@ class Advisor:
 
     # -- request path -------------------------------------------------------
 
-    def advise(
-        self, payload: dict, *, inject: Iterable[str] = ()
-    ) -> dict:
-        """Answer one request; raises only :class:`AdvisorError`.
-
-        ``inject`` carries request-scoped fault kinds the worker layer
-        decided should fire for this request (currently only
-        ``toolchain_loss`` is interpreted here — it makes the native
-        probe fail mid-flight, exercising the breaker).
-        """
+    def advise(self, payload: dict) -> dict:
+        """Answer one request; raises only :class:`AdvisorError`."""
         self.stats.bump("requests")
-        inject = frozenset(inject)
         kernel = kernel_from_payload(payload)
         target = self._resolve_target(payload)
         vectorizer = self._resolve_vectorizer(payload)
         vf = payload.get("vf")
         if vf is not None:
-            try:
-                vf = int(vf)
-            except (TypeError, ValueError):
-                raise InvalidRequest(f"'vf' must be an integer, got {vf!r}")
+            # bool is an int subclass: JSON true must not read as 1.
+            if type(vf) is not int:
+                raise InvalidRequest(f"'vf' must be a JSON integer, got {vf!r}")
             if vf < 2 or vf > 64:
                 raise InvalidRequest(f"'vf' must be in [2, 64], got {vf}")
 
@@ -227,7 +202,7 @@ class Advisor:
         degraded: list[str] = []
 
         self._prepass(kernel, degraded)
-        guard_probs = self._guard_probs(kernel, inject, degraded)
+        guard_probs = self._guard_probs(kernel)
 
         measured = measure_kernel(
             kernel,
@@ -398,56 +373,22 @@ class Advisor:
         except Exception:
             return None
 
-    def _guard_probs(
-        self,
-        kernel: LoopKernel,
-        inject: frozenset,
-        degraded: list[str],
-    ) -> dict[int, float]:
-        """Branch probabilities via the best tier the breaker allows.
+    @staticmethod
+    def _guard_probs(kernel: LoopKernel) -> dict[int, float]:
+        """Branch probabilities from the measurement sweep's own run.
 
-        The compiled/native and interpreter tiers agree bit-exactly on
-        guard probabilities (the PR-6 contract: non-identical native
-        kernels auto-demote), so demotion here changes latency, never
-        the verdict.
+        :func:`~repro.sim.estimate_guard_probs` executes on the kernel
+        compiler, which falls back to the interpreter by itself; the
+        tiers agree bit-exactly, so the tier never changes the verdict.
         """
-        if not any(isinstance(s, IfBlock) for s in kernel.stmts()):
-            # No guards: nothing to estimate, no tier engaged.
-            return {}
-        demote = None
-        if "toolchain_loss" in inject:
-            # Mid-flight toolchain loss: the native probe fails.
-            if self.native_breaker.allow():
-                self.native_breaker.record_failure()
-            demote = "toolchain lost mid-flight"
-        elif not (native_enabled() and native_available()):
-            demote = "native tier unavailable"
-        elif not self.native_breaker.allow():
-            demote = "native tier breaker open"
-        if demote is None:
-            try:
-                probs = estimate_guard_probs(kernel, seed=0)
-                self.native_breaker.record_success()
-                return probs
-            except Exception:
-                self.native_breaker.record_failure()
-                demote = "native tier faulted"
-        degraded.append(f"demoted to interpreter tier ({demote})")
-        bufs = make_buffers(kernel, seed=0)
-        result = run_scalar_interpreted(
-            kernel, bufs, max_inner_iters=GUARD_SAMPLE_ITERS
-        )
-        return dict(result.guard_probs)
+        return estimate_guard_probs(kernel, seed=0)
 
     # -- introspection ------------------------------------------------------
 
     def health(self) -> dict:
         return {
             "status": "ok",
-            "breakers": [
-                self.native_breaker.stats(),
-                self.prepass_breaker.stats(),
-            ],
+            "breakers": [self.prepass_breaker.stats()],
             "registry": self.registry.stats.as_dict(),
             "advisor": self.stats.as_dict(),
         }

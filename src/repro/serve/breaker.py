@@ -1,8 +1,7 @@
 """Circuit breakers for the advisor service's fallible dependencies.
 
 A :class:`CircuitBreaker` wraps an operation that can fail repeatedly
-— the native compiled tier losing its toolchain, the parser/analysis
-prepass hitting an internal fault — and converts "keeps failing" into
+— the parser/analysis prepass hitting an internal fault — and converts "keeps failing" into
 "stop trying for a while":
 
 * **closed** — normal operation; consecutive failures are counted and

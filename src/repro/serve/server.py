@@ -127,6 +127,10 @@ class AdvisorServer:
 def _make_handler(server: AdvisorServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in separate sends; with Nagle on, a
+        # kept-alive client that delays its ACKs stalls ~40 ms on the
+        # second one.
+        disable_nagle_algorithm = True
         # BaseHTTPRequestHandler logs every request to stderr; the
         # service speaks through /v1/health and the bench harness.
         def log_message(self, fmt, *args):  # noqa: N802

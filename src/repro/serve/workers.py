@@ -16,7 +16,7 @@ The pool is the service's load shedder and fault boundary:
   result is discarded (the ticket was already abandoned);
 * **chaos hooks** — a :class:`~repro.pipeline.faultinject.FaultPlan`
   fires request-scoped faults (``slow_handler``, ``worker_crash``,
-  ``corrupt_registry``, ``toolchain_loss``) deterministically by
+  ``corrupt_registry``) deterministically by
   ``sha256(seed:kind:request:attempt)``; retries are new attempts, so
   faults drain exactly like the measurement sweep's.
 
@@ -334,10 +334,7 @@ class WorkerPool:
         if ticket.abandoned:
             return
         try:
-            body = self.advisor.advise(
-                ticket.payload,
-                inject=inject & {"toolchain_loss"},
-            )
+            body = self.advisor.advise(ticket.payload)
             ticket.complete(200, body)
         except AdvisorError as exc:
             ticket.complete(exc.status, {"error": str(exc)})

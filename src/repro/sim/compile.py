@@ -110,19 +110,14 @@ class CompiledKernel:
 
 @dataclass
 class CompileStats:
-    native: int = 0          # kernels resolved to the native (.so) tier
     vector: int = 0          # kernels resolved to the whole-loop closure
     scalar: int = 0          # kernels resolved to straight-line codegen
     demoted: int = 0         # vector builds rejected by the self-check
-    native_demoted: int = 0  # native builds rejected by the self-check
     refused: int = 0         # kernels pinned to the interpreter
     cache_hits: int = 0
     cache_misses: int = 0
     runs_compiled: int = 0   # executions served by a compiled fn
     runs_vector: int = 0     # ... of which used the vector closure
-    runs_native: int = 0     # ... of which used the native entry point
-    runs_native_vector: int = 0  # run_vector block loops served natively
-    native_build_s: float = 0.0  # cumulative wall time compiling C
 
 
 _STATS = CompileStats()
@@ -166,12 +161,10 @@ def _cache_fp(kernel: LoopKernel) -> str:
     """Cache key for compiled artifacts: content digest plus the
     range-analysis consumer switch.
 
-    Generated code differs when ``REPRO_RANGES=0`` (no guard folding,
-    no check elision), and parity tests flip the switch in-process —
-    so the switch state must be part of the key, or a toggle would be
-    served a stale function.  The native tier builds its artifact
-    fingerprints from this string, so on-disk ``.so`` caching keys
-    correctly too.
+    Generated code differs when ``REPRO_RANGES=0`` (no guard folding),
+    and parity tests flip the switch in-process — so the switch state
+    must be part of the key, or a toggle would be served a stale
+    function.
     """
     fp = kernel_fingerprint(kernel)
     from ..analysis.framework.ranges import ranges_enabled
@@ -192,35 +185,26 @@ def clear_compile_cache() -> None:
     _CACHE.clear()
     _AUTO.clear()
     _FP_MEMO.clear()
-    from . import native
-
-    native.clear_attached()
 
 
 def compile_summary() -> dict:
-    """Counters for experiment reports and the perf smoke."""
-    from . import native
-    from .toolchain import resolved_toolchain
+    """Counters for experiment reports and the perf smoke.
 
+    ``runs_native`` is always 0 (no tier executes native code); it is
+    kept because trace readers compare it before and after a run.
+    """
     s = _STATS
-    tc = resolved_toolchain()
     return {
         "enabled": compile_enabled(),
-        "kernels_native": s.native,
         "kernels_vector": s.vector,
         "kernels_scalar": s.scalar,
         "kernels_demoted": s.demoted,
-        "kernels_native_demoted": s.native_demoted,
         "kernels_refused": s.refused,
         "cache_hits": s.cache_hits,
         "cache_misses": s.cache_misses,
         "runs_compiled": s.runs_compiled,
         "runs_vector": s.runs_vector,
-        "runs_native": s.runs_native,
-        "runs_native_vector": s.runs_native_vector,
-        "native_build_s": round(s.native_build_s, 4),
-        "native_enabled": native.native_enabled(),
-        "toolchain": tc.version if tc is not None else None,
+        "runs_native": 0,
         "cached_fns": len(_CACHE),
     }
 
@@ -299,7 +283,7 @@ def _affine_bounds_violation(kernel: LoopKernel) -> Optional[str]:
     nothing wraps.
 
     The range facts come from :class:`BoundsCheckPass` (one source of
-    truth with lint, ``analyze --ranges``, and the native tier); every
+    truth with lint and ``analyze --ranges``); every
     affine verdict — including the index-array read feeding each
     gather/scatter — must be proven inside ``[0, extent)``.  Gather
     *contents* are runtime data and stay unchecked here: a bad index
@@ -763,12 +747,6 @@ def _build(
     plan: Optional[_VectorPlan] = None,
     reason: str = "",
 ) -> CompiledKernel:
-    if mode == "native":
-        from . import native as native_mod
-
-        ck = native_mod.native_compiled(kernel, fp, forced=True)
-        assert ck is not None  # forced mode raises instead
-        return ck
     try:
         if mode == "vector":
             if plan is None:
@@ -877,14 +855,6 @@ def _diag(kernel: LoopKernel, message: str, warning: bool = False) -> None:
 
 def _compile_auto(kernel: LoopKernel, fp: str) -> CompiledKernel:
     _STATS.cache_misses += 1
-    from . import native as native_mod
-
-    ck = native_mod.native_compiled(kernel, fp)
-    if ck is not None:
-        _CACHE[(fp, "native")] = ck
-        _AUTO[fp] = "native"
-        _STATS.native += 1
-        return ck
     plan, reason = _vector_plan(kernel)
     if plan is not None:
         try:
@@ -935,14 +905,6 @@ def get_compiled(kernel: LoopKernel, mode: str = "auto") -> CompiledKernel:
     fp = _cache_fp(kernel)
     if mode == "auto":
         resolved = _AUTO.get(fp)
-        if resolved == "native":
-            # Re-resolve when native became unavailable in-process
-            # (tests flip REPRO_NATIVE / REPRO_CC mid-run).
-            from . import native as native_mod
-
-            if not native_mod.native_available():
-                resolved = None
-                _AUTO.pop(fp, None)
         if resolved is None:
             return _compile_auto(kernel, fp)
         ck = _CACHE.get((fp, resolved))
@@ -980,6 +942,4 @@ def run_scalar_compiled(
     _STATS.runs_compiled += 1
     if ck.mode == "vector":
         _STATS.runs_vector += 1
-    elif ck.mode == "native":
-        _STATS.runs_native += 1
     return _execute(ck, kernel, bufs, scalars, max_inner_iters)

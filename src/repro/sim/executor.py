@@ -355,40 +355,17 @@ def run_vector(
     vec_trip = inner_trip - inner_trip % vf
     outer_trip = 1 if kernel.depth == 1 else kernel.loops[0].trip
 
-    # Native fast path for the full lane blocks (depth ≤ 2; the scalar
-    # tail below stays in Python either way).  One native call per
-    # outer-loop instance, so the tail of row N runs before the blocks
-    # of row N+1 (cross-row dependences require it).  Any refusal —
-    # disabled tier, no toolchain, no verified vector entry — returns
-    # False without touching a buffer, and is final: the attempt is not
-    # repeated on later outer iterations.
-    native_candidate = (
-        kernel.depth <= 2
-        and bool(vec_trip)
-        and os.environ.get("REPRO_COMPILE", "1") != "0"
-    )
-    if native_candidate:
-        from .native import try_run_vector_blocks
-
     tail_env = _TailEnv(lane_env, set(red_ops))
     tail_stats = _GuardStats()
     total = 0
     with np.errstate(all="ignore"):
         for outer in range(outer_trip):
-            ran_native = native_candidate and try_run_vector_blocks(
-                plan, bufs, lane_env, vf, vec_trip, outer=outer
-            )
-            if native_candidate and not ran_native:
-                native_candidate = False
-            if ran_native:
-                total += vec_trip // vf
-            else:
-                for start in range(0, vec_trip, vf):
-                    lanes = np.arange(start, start + vf)
-                    ivals = (lanes,) if kernel.depth == 1 else (outer, lanes)
-                    ctx = _Ctx(bufs, lane_env, ivals)
-                    _exec_stmts_vector(kernel, kernel.body, ctx, None, vf)
-                    total += 1
+            for start in range(0, vec_trip, vf):
+                lanes = np.arange(start, start + vf)
+                ivals = (lanes,) if kernel.depth == 1 else (outer, lanes)
+                ctx = _Ctx(bufs, lane_env, ivals)
+                _exec_stmts_vector(kernel, kernel.body, ctx, None, vf)
+                total += 1
             # Scalar tail of this inner-loop instance, before the next
             # outer iteration (cross-row dependences require it).
             for inner in range(vec_trip, inner_trip):

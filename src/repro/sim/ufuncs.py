@@ -59,17 +59,6 @@ def reset_sqrt_guard_fires() -> None:
     _SQRT_GUARD_FIRES = 0
 
 
-def add_sqrt_guard_fires(n: int) -> None:
-    """Fold fires counted outside this table into the process counter.
-
-    The native tier (:mod:`.native`) counts guard hits inside compiled
-    C code and reports them back here, so the executor's remark logic
-    stays tier-independent.
-    """
-    global _SQRT_GUARD_FIRES
-    _SQRT_GUARD_FIRES += int(n)
-
-
 def cast_value(x, target):
     """Cast ``x`` to the numpy ``target`` type with C conversion rules.
 

@@ -22,14 +22,9 @@ def _isolated_measurement_cache(tmp_path_factory):
     import os
 
     from repro.pipeline import set_default_cache
-    from repro.sim import reset_native_state
 
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("measurement-cache"))
-    os.environ["REPRO_NATIVE_CACHE_DIR"] = str(
-        tmp_path_factory.mktemp("native-cache")
-    )
     set_default_cache(None)
-    reset_native_state()
     yield
     set_default_cache(None)
 

@@ -259,3 +259,27 @@ def test_sqrt_guard_emits_remark():
         kernel="sqrtneg", pass_name="executor"
     )
     assert any("sqrt domain guard fired" in r.message for r in remarks)
+
+
+def test_sweep_stats_record_tiers(tmp_path):
+    """A measured sweep records which compiled tiers its kernels took."""
+    from repro.experiments import DatasetSpec
+    from repro.pipeline import MeasurementCache, measure_suite
+    from repro.pipeline.build import DatasetBuildStats
+    from repro.sim import clear_compile_cache, compile_enabled
+
+    clear_compile_cache()
+    stats = DatasetBuildStats()
+    samples, _failures = measure_suite(
+        DatasetSpec("armv8-neon", "llv"),
+        workers=1,
+        cache=MeasurementCache(root=tmp_path / "off", enabled=False),
+        stats=stats,
+    )
+    assert samples
+    assert stats.strategy == "serial"
+    if compile_enabled():
+        assert stats.tiers.get("vector", 0) + stats.tiers.get("scalar", 0) > 0
+        assert set(stats.tiers) <= {"vector", "scalar", "demoted", "interpreted"}
+    else:
+        assert stats.tiers == {}

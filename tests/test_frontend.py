@@ -188,6 +188,10 @@ class TestParserErrors:
         with pytest.raises(ParseError, match=match):
             parse_kernel(source)
 
+    def test_zero_trip_loop_rejected_with_line(self):
+        with pytest.raises(ParseError, match=r"line 3: loop trip count must be >= 1, got 0"):
+            parse_kernel("kernel k {\n f32 a[8];\n for (i = 0; i < 0; i++) { a[i] = 1.0; }\n}")
+
     def test_float_index_array_rejected(self):
         with pytest.raises(ParseError):
             parse_kernel(

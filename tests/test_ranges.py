@@ -10,9 +10,8 @@ Three layers of confidence, mirroring the soundness argument:
   counterexample is a soundness bug, not noise;
 * consumer tests: the bounds/guard passes, ``prove_safe``, the
   static/dynamic cross-check, the measurement prepass gate, and the
-  compiled tiers' elision paths (guard folding, unguarded gathers
-  behind the native runtime contract, shift-wrapper removal) — each
-  checked bit-identical against the unoptimized path.
+  compiled tier's guard folding — checked bit-identical against the
+  unoptimized path.
 """
 
 from __future__ import annotations
@@ -42,28 +41,20 @@ from repro.ir.expr import BinOpKind
 from repro.ir.verify import VerificationError
 from repro.pipeline.build import static_prepass
 from repro.sim import compile as simcompile
-from repro.sim import native
 from repro.sim.compile import bit_identical, clear_compile_cache, get_compiled
-from repro.sim.executor import make_buffers, run_scalar_interpreted, run_vector
-from repro.targets import ARMV8_NEON
+from repro.sim.executor import make_buffers, run_scalar_interpreted
 from repro.tsvc import all_kernels
-from repro.vectorize import vectorize_loop
 
-from tests.helpers import SMALL, build, copy_buffers
+from tests.helpers import SMALL, build
 
 SUITE = list(all_kernels(dims=SMALL))
-
-HAVE_CC = native.find_toolchain() is not None
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no usable C toolchain")
 
 
 @pytest.fixture(autouse=True)
 def _clean_tier_state():
     clear_compile_cache()
-    native.reset_native_state()
     yield
     clear_compile_cache()
-    native.reset_native_state()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +286,6 @@ class TestGuardFolding:
     def test_folded_source_differs_but_results_bit_identical(self, monkeypatch):
         kern = _fold_probe()
         monkeypatch.delenv("REPRO_RANGES", raising=False)
-        monkeypatch.setenv("REPRO_NATIVE", "0")
         ck1 = get_compiled(kern, "scalar")
         assert "if True:" in ck1.source and "if False:" in ck1.source
         bufs1 = make_buffers(kern, seed=3)
@@ -318,106 +308,24 @@ class TestGuardFolding:
         assert r1.guard_probs == {0: 1.0, 1: 0.0}
 
     def test_vector_tier_folds_and_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "0")
+        """The NumPy whole-loop closure folds the same guards and stays
+        bit-identical to the interpreter with folding on and off."""
         kern = _fold_probe()
-        plan = vectorize_loop(kern, ARMV8_NEON)
-        bufs = make_buffers(kern, seed=5)
-        got = run_vector(plan, bufs)
-        ref_bufs = make_buffers(kern, seed=5)
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        ref = run_vector(plan, ref_bufs)
-        for name in bufs:
-            np.testing.assert_array_equal(bufs[name], ref_bufs[name])
-        for name in got.scalars:
-            np.testing.assert_array_equal(
-                np.asarray(got.scalars[name]), np.asarray(ref.scalars[name])
-            )
-
-
-# ---------------------------------------------------------------------------
-# Native tier: unguarded gathers, contract dispatch, shift elision
-# ---------------------------------------------------------------------------
-
-
-def _gather_kernel():
-    """vag at SMALL dims: a contract-proven gather."""
-    for kern in SUITE:
-        if kern.name == "vag":
-            return kern
-    raise AssertionError("vag missing from suite")
-
-
-def _native_meta(kernel):
-    fp = simcompile._cache_fp(kernel)
-    tc = native.find_toolchain()
-    mod = native._attach(kernel, fp, tc, native._native_fingerprint(fp, tc))
-    assert isinstance(mod, native._NativeModule), getattr(mod, "reason", mod)
-    return mod.meta
-
-
-@needs_cc
-class TestNativeElision:
-    @pytest.fixture(autouse=True)
-    def _ranges_on(self, monkeypatch):
-        # This class pins down the default-on elision behavior; a
-        # REPRO_RANGES=0 outer environment (the CI parity leg runs the
-        # suite exactly that way) must not flip its expectations.
-        # Tests that cover the opt-out re-set the variable themselves.
         monkeypatch.delenv("REPRO_RANGES", raising=False)
+        sources = []
+        for ranges in ("1", "0"):
+            monkeypatch.setenv("REPRO_RANGES", ranges)
+            clear_compile_cache()
+            ck = get_compiled(kern, "vector")
+            sources.append(ck.source)
+            bufs = make_buffers(kern, seed=5)
+            got = simcompile._execute(ck, kern, bufs, None, None)
+            ref_bufs = make_buffers(kern, seed=5)
+            ref = run_scalar_interpreted(kern, ref_bufs)
+            assert bit_identical(ref, ref_bufs, got, bufs)
+        assert sources[0] != sources[1]
 
-    def test_gather_kernel_elides_and_matches_interpreter(self, monkeypatch):
-        kern = _gather_kernel()
-        meta = _native_meta(kern)
-        assert meta["elided"]["gathers"] >= 1
-        ck = get_compiled(kern)
-        assert ck.mode == "native"
-        bufs = make_buffers(kern, seed=2)
-        got = simcompile._execute(ck, kern, bufs, None, None)
-        ref_bufs = make_buffers(kern, seed=2)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, got, bufs)
-
-    def test_ranges_off_native_bit_identical(self, monkeypatch):
-        kern = _gather_kernel()
-        ck1 = get_compiled(kern)
-        bufs1 = make_buffers(kern, seed=4)
-        r1 = simcompile._execute(ck1, kern, bufs1, None, None)
-
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        clear_compile_cache()
-        native.clear_attached()
-        ck0 = get_compiled(kern)
-        assert ck0.mode == "native"
-        bufs0 = make_buffers(kern, seed=4)
-        r0 = simcompile._execute(ck0, kern, bufs0, None, None)
-        assert bit_identical(r1, bufs1, r0, bufs0)
-
-    def test_adversarial_contents_route_to_guarded_body(self):
-        """A caller-mutated index array violates the data contract; the
-        runtime scan must reject the fast body, and the guarded body
-        must stay bit-identical with the interpreter (wrap-legal
-        negative indices alias valid elements in every tier)."""
-        kern = _gather_kernel()
-        ck = get_compiled(kern)
-        assert ck.mode == "native"
-        idx_name = [n for n, d in kern.arrays.items() if d.dtype.is_int][0]
-        bufs = make_buffers(kern, seed=6)
-        bufs[idx_name][0] = -1  # in [-extent, 0): wrap-legal, not contract
-        ref_bufs = copy_buffers(bufs)
-        got = simcompile._execute(ck, kern, bufs, None, None)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, got, bufs)
-
-    def test_out_of_window_contents_still_fault(self):
-        kern = _gather_kernel()
-        ck = get_compiled(kern)
-        bufs = make_buffers(kern, seed=6)
-        idx_name = [n for n, d in kern.arrays.items() if d.dtype.is_int][0]
-        bufs[idx_name][0] = 10**6
-        with pytest.raises(native.NativeError):
-            simcompile._execute(ck, kern, bufs, None, None)
-
-    def test_shift_wrapper_elision(self):
+    def test_shift_count_proven_in_width(self):
         def body(k):
             a = k.array("a", dtype=DType.I32, extents=(64,))
             b = k.array("b", dtype=DType.I32, extents=(64,))
@@ -427,43 +335,3 @@ class TestNativeElision:
         kern = build("shift_probe", body, default_len=64)
         info = AnalysisManager().get(GuardRangePass, kern)
         assert info.shift_total == 1 and info.shifts_proven == 1
-        meta = _native_meta(kern)
-        assert meta["elided"]["shifts"] >= 1
-        ck = get_compiled(kern)
-        assert ck.mode == "native"
-        bufs = make_buffers(kern, seed=1)
-        got = simcompile._execute(ck, kern, bufs, None, None)
-        ref_bufs = make_buffers(kern, seed=1)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, got, bufs)
-
-    def test_folded_guard_counts_in_meta(self):
-        meta = _native_meta(_fold_probe())
-        assert meta["elided"]["folded_guards"] == 2
-
-    def test_store_only_scatter_keeps_guarded_body(self):
-        """Profitability gate: a proven scatter whose store is not the
-        read-modify-write partner of an elided load keeps the plain
-        guarded body (no dispatcher, no contract scan) — the static
-        proof itself is unaffected by the codegen decision."""
-        for kern in SUITE:
-            if kern.name == "vas":
-                break
-        else:
-            raise AssertionError("vas missing from suite")
-        info = AnalysisManager().get(BoundsCheckPass, kern)
-        assert info.gathers_proven >= 1
-        meta = _native_meta(kern)
-        assert meta["elided"]["gathers"] == 0
-
-    def test_rmw_scatter_still_dispatches(self):
-        """s141 scatters into the array it gathers from at the same
-        index — the store hits a resident line, so the cost model keeps
-        the dispatcher."""
-        for kern in SUITE:
-            if kern.name == "s141":
-                break
-        else:
-            raise AssertionError("s141 missing from suite")
-        meta = _native_meta(kern)
-        assert meta["elided"]["gathers"] >= 2

@@ -1,4 +1,4 @@
-"""Advisor request path: verdicts, fallbacks, breakers, bit-identity."""
+"""Advisor request path: verdicts, fallbacks, breaker, bit-identity."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,15 @@ kernel saxpy {
     f32 alpha = 2.0;
     for (i = 0; i < 256; i++) {
         a[i] = a[i] + alpha * b[i];
+    }
+}
+"""
+
+ZERO_TRIP = """
+kernel empty {
+    f32 a[16];
+    for (i = 0; i < 0; i++) {
+        a[i] = 1.0;
     }
 }
 """
@@ -100,6 +109,9 @@ def test_ir_envelope_matches_dsl_form(advisor):
         ({"kernel": SAXPY, "vectorizer": "magic"}, "unknown vectorizer"),
         ({"kernel": SAXPY, "vf": "wide"}, "integer"),
         ({"kernel": SAXPY, "vf": 1}, r"\[2, 64\]"),
+        ({"kernel": SAXPY, "vf": 4.7}, "JSON integer, got 4.7"),
+        ({"kernel": SAXPY, "vf": True}, "JSON integer, got True"),
+        ({"kernel": ZERO_TRIP}, r"line 4: loop trip count must be >= 1, got 0"),
     ],
 )
 def test_invalid_requests_raise_invalid_request(advisor, payload, match):
@@ -111,7 +123,6 @@ def test_client_errors_do_not_move_breakers(advisor):
     for _ in range(5):
         with pytest.raises(InvalidRequest):
             advisor.advise({"kernel": "kernel x { not valid }"})
-    assert advisor.native_breaker.state == "closed"
     assert advisor.prepass_breaker.state == "closed"
 
 
@@ -121,24 +132,31 @@ def test_verdict_is_deterministic(advisor):
     assert canonical_verdict(a) == canonical_verdict(b)
 
 
-def test_native_breaker_open_demotes_but_preserves_verdict(advisor):
-    healthy = advisor.advise({"kernel": GUARDED})
-    advisor.native_breaker.force_open()
-    demoted = advisor.advise({"kernel": GUARDED})
-    assert any("interpreter tier" in d for d in demoted["degraded"])
-    # Demotion changes the tier, never the floats.
-    assert canonical_verdict(demoted) == canonical_verdict(healthy)
+def test_guard_probs_run_on_compiled_tier_bit_identical(advisor, monkeypatch):
+    from repro.frontend import parse_kernel
+    from repro.sim import (
+        GUARD_SAMPLE_ITERS,
+        compile_summary,
+        make_buffers,
+        run_scalar_interpreted,
+    )
 
+    monkeypatch.setenv("REPRO_COMPILE", "1")
+    publish_model(advisor)
+    before = compile_summary()["runs_compiled"]
+    resp = advisor.advise({"kernel": GUARDED})
+    assert compile_summary()["runs_compiled"] > before
+    assert resp["degraded"] == []
+    assert not [r for r in resp["remarks"] if r["pass"] == "serve"]
 
-def test_toolchain_loss_fault_trips_breaker_eventually(advisor):
-    healthy = advisor.advise({"kernel": GUARDED})
-    for _ in range(3):
-        faulted = advisor.advise(
-            {"kernel": GUARDED}, inject={"toolchain_loss"}
-        )
-        assert canonical_verdict(faulted) == canonical_verdict(healthy)
-    assert advisor.native_breaker.state == "open"
-    assert advisor.native_breaker.stats()["trips"] == 1
+    kern = parse_kernel(GUARDED)
+    got = advisor._guard_probs(kern)
+    ref = run_scalar_interpreted(
+        kern, make_buffers(kern, seed=0), max_inner_iters=GUARD_SAMPLE_ITERS
+    ).guard_probs
+    assert got and list(got) == list(ref)
+    for k in ref:
+        assert np.float64(got[k]).tobytes() == np.float64(ref[k]).tobytes()
 
 
 def test_prepass_breaker_open_skips_analysis_with_remark(advisor):
@@ -203,6 +221,6 @@ def test_health_reports_breakers_registry_and_counters(advisor):
     health = advisor.health()
     assert health["status"] == "ok"
     names = {b["name"] for b in health["breakers"]}
-    assert names == {"native", "prepass"}
+    assert names == {"prepass"}
     assert health["advisor"]["requests"] == 1
     assert health["advisor"]["verdicts"] == 1

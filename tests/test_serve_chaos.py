@@ -16,8 +16,7 @@ def test_chaos_gate_small_run(tmp_path):
         workers=2,
         registry_root=tmp_path / "registry",
         faults=(
-            "slow_handler:0.25,worker_crash:0.25,"
-            "corrupt_registry:0.2,toolchain_loss:0.25"
+            "slow_handler:0.25,worker_crash:0.25,corrupt_registry:0.2"
         ),
         seed=0,
         hang_s=0.4,
@@ -38,7 +37,6 @@ def test_default_fault_spec_parses():
         "slow_handler",
         "worker_crash",
         "corrupt_registry",
-        "toolchain_loss",
     }
 
 

@@ -1,11 +1,11 @@
 """Degraded-mode matrix: every combination answers, none ever raises.
 
-The grid crosses the four availability dimensions the satellite names —
-toolchain present × model published × native breaker open × range
-proofs enabled — and asserts that every cell (a) returns a verdict,
-(b) emits exactly one consolidated ``-Rpass-missed=serve`` remark when
-anything is degraded and none when healthy, and (c) produces the same
-verdict bits as every other cell with the same model availability:
+The grid crosses the two availability dimensions of the advisor —
+model published × range proofs enabled — and asserts that every cell
+(a) returns a verdict, (b) emits exactly one consolidated
+``-Rpass-missed=serve`` remark when anything is degraded and none when
+healthy, and (c) produces the same verdict bits as every other cell
+with the same model availability:
 degradation is allowed to slow or annotate an answer, never to change
 it.
 """
@@ -42,37 +42,19 @@ def fitted_entry():
     )
 
 
-GRID = list(itertools.product([True, False], repeat=4))
+GRID = list(itertools.product([True, False], repeat=2))
 
 
-@pytest.mark.parametrize(
-    "toolchain, with_model, breaker_open, ranges_on", GRID
-)
+@pytest.mark.parametrize("with_model, ranges_on", GRID)
 def test_degraded_cell_returns_verdict_with_one_remark(
-    tmp_path,
-    monkeypatch,
-    fitted_entry,
-    toolchain,
-    with_model,
-    breaker_open,
-    ranges_on,
+    tmp_path, monkeypatch, fitted_entry, with_model, ranges_on
 ):
-    import repro.serve.advisor as advisor_mod
-
-    monkeypatch.setattr(
-        advisor_mod, "native_enabled", lambda: toolchain
-    )
-    monkeypatch.setattr(
-        advisor_mod, "native_available", lambda: toolchain
-    )
     monkeypatch.setenv("REPRO_RANGES", "1" if ranges_on else "0")
 
     registry = ModelRegistry(tmp_path / "registry")
     if with_model:
         registry.publish(fitted_entry)
     advisor = Advisor(registry)
-    if breaker_open:
-        advisor.native_breaker.force_open()
 
     resp = advisor.advise({"kernel": GUARDED})  # must never raise
 
@@ -93,23 +75,14 @@ def test_degraded_cell_returns_verdict_with_one_remark(
     else:
         assert resp["plan"] is None
 
-    anything_degraded = (
-        not toolchain or not with_model or breaker_open or not ranges_on
-    )
+    anything_degraded = not with_model or not ranges_on
     serve_remarks = [r for r in resp["remarks"] if r["pass"] == "serve"]
     assert len(serve_remarks) == (1 if anything_degraded else 0)
     if anything_degraded:
         assert serve_remarks[0]["flag"] == "-Rpass-missed"
         assert serve_remarks[0]["severity"] == "warning"
-        # The remark's clause count matches the degraded dimensions:
-        # native demotion (unavailable OR breaker) collapses into one.
-        expected_clauses = sum(
-            (
-                not toolchain or breaker_open,
-                not with_model,
-                not ranges_on,
-            )
-        )
+        # The remark's clause count matches the degraded dimensions.
+        expected_clauses = sum((not with_model, not ranges_on))
         assert len(resp["degraded"]) == expected_clauses
         assert serve_remarks[0]["args"]["degraded"] == str(expected_clauses)
 
@@ -118,28 +91,14 @@ def test_degraded_cell_returns_verdict_with_one_remark(
 def test_verdict_bits_invariant_across_degradations(
     tmp_path, monkeypatch, fitted_entry, with_model
 ):
-    """All 8 availability cells of one model group agree bit-for-bit."""
-    import repro.serve.advisor as advisor_mod
-
+    """Both availability cells of one model group agree bit-for-bit."""
     cores = set()
-    for toolchain, breaker_open, ranges_on in itertools.product(
-        [True, False], repeat=3
-    ):
-        monkeypatch.setattr(
-            advisor_mod, "native_enabled", lambda t=toolchain: t
-        )
-        monkeypatch.setattr(
-            advisor_mod, "native_available", lambda t=toolchain: t
-        )
+    for ranges_on in (True, False):
         monkeypatch.setenv("REPRO_RANGES", "1" if ranges_on else "0")
-        registry = ModelRegistry(
-            tmp_path / f"reg-{toolchain}-{breaker_open}-{ranges_on}"
-        )
+        registry = ModelRegistry(tmp_path / f"reg-{ranges_on}")
         if with_model:
             registry.publish(fitted_entry)
         advisor = Advisor(registry)
-        if breaker_open:
-            advisor.native_breaker.force_open()
         cores.add(canonical_verdict(advisor.advise({"kernel": GUARDED})))
     assert len(cores) == 1
 

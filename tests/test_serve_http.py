@@ -1,10 +1,13 @@
 """HTTP service + worker pool: probes, batches, backpressure, deadlines."""
 
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -50,7 +53,7 @@ def test_health_and_readiness_probes(server):
     assert status == 200
     assert body["status"] == "ok"
     assert body["pool"]["alive"] == 2
-    assert {b["name"] for b in body["breakers"]} == {"native", "prepass"}
+    assert {b["name"] for b in body["breakers"]} == {"prepass"}
 
     status, body, _ = http("GET", server.url + "/v1/ready")
     assert status == 200 and body["ready"] is True
@@ -72,6 +75,44 @@ def test_mixed_valid_invalid_batch(server):
             assert body["kernel"] == "saxpy"
         else:
             assert "error" in body
+
+
+def test_zero_trip_loop_and_non_integer_vf_answer_400(server):
+    zero_trip = SAXPY.replace("i < 256", "i < 0")
+    for payload, match in [
+        ({"kernel": zero_trip}, "line 5: loop trip count must be >= 1, got 0"),
+        ({"kernel": SAXPY, "vf": 4.7}, "JSON integer"),
+        ({"kernel": SAXPY, "vf": True}, "JSON integer"),
+    ]:
+        status, body, _ = http("POST", server.url + "/v1/advise", payload)
+        assert status == 400, body
+        assert match in body["error"]
+
+
+@pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="needs Linux TCP_QUICKACK"
+)
+def test_kept_alive_requests_do_not_stall_on_delayed_acks(server):
+    """Headers and body leave in two sends: with Nagle's algorithm on,
+    the body waits for the client's (delayed) ACK of the headers."""
+    host, port = server.url.split("//")[1].split(":")
+    conn = HTTPConnection(host, int(port), timeout=10)
+    conn.connect()
+    conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    times = []
+    try:
+        for _ in range(30):
+            # The kernel leaves delayed-ACK mode on its own; re-arm it.
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0)
+            t0 = time.perf_counter()
+            conn.request("GET", "/v1/health")
+            resp = conn.getresponse()
+            resp.read()
+            times.append(time.perf_counter() - t0)
+            assert resp.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.010, times
 
 
 def test_unknown_route_404_and_malformed_body_400(server):
