@@ -19,7 +19,7 @@ from repro.vectorize import vectorize_loop
 SMALL = Dims(n=240, n2=16)
 
 
-def test_bench_suite_build(benchmark):
+def test_bench_construct_suite(benchmark):
     """Construct + verify all 151 TSVC kernels (fresh dims defeat the cache)."""
     counter = [0]
 

@@ -10,8 +10,6 @@ Measured (best of ``--repeat`` runs, full ARM+x86 suite sweep):
 * ``cold_serial_s``    — uncached build, one process;
 * ``cold_parallel_s``  — uncached build, ``--workers`` processes;
 * ``warm_cache_s``     — rebuild served from the persistent cache;
-* ``static_prepass``   — warm rebuild with vs without the verify+lint
-  pre-pass (must stay within 5% of each other);
 * ``resilience``       — supervised pool vs the raw executor on the
   warm (fully cached) path — the supervision layer must cost <5%
   there — plus the cold serial comparison for reference;
@@ -22,20 +20,11 @@ Measured (best of ``--repeat`` runs, full ARM+x86 suite sweep):
 * ``loocv_refit_s`` / ``loocv_fast_s`` — L2 LOOCV, refit loop vs
   hat-matrix fast path, on the ARM dataset;
 * ``loocv_nnls``       — NNLS LOOCV, cold Lawson–Hanson refit loop vs
-  the active-set warm-start path, on the ARM dataset;
-* ``experiments``      — the E1–E12 suite through the experiment
-  engine (shared matrix bundles + engine memo + warm SVR folds +
-  parallel drivers) vs the per-driver seed path, written to its own
-  ``BENCH_experiments.json``.  Gated: engine-cold ≥3× over seed,
-  serial/parallel report tables bit-identical, seed/engine E1–E11
-  tables bit-identical, and ≥80% of SVR LOOCV folds warm-certified
-  on every suite dataset.
+  the active-set warm-start path, on the ARM dataset.
 
-``--experiments-only`` runs just that last section (the CI
-``experiments`` job uses it).  ``--pytest-bench`` additionally runs
-the two pytest-benchmark files (``bench_pipeline_micro.py``,
-``bench_dataset_build.py``) and embeds their stats under
-``pytest_benchmarks``.
+``--pytest-bench`` additionally runs the two pytest-benchmark files
+(``bench_pipeline_micro.py``, ``bench_dataset_build.py``) and embeds
+their stats under ``pytest_benchmarks``.
 """
 
 from __future__ import annotations
@@ -92,7 +81,6 @@ def best_of(repeat: int, fn) -> float:
 def sweep_both(
     workers: int,
     cache: MeasurementCache,
-    prepass: bool | None = None,
     supervise: bool = True,
     stats: DatasetBuildStats | None = None,
 ) -> int:
@@ -102,7 +90,6 @@ def sweep_both(
             spec,
             workers=workers,
             cache=cache,
-            prepass=prepass,
             supervise=supervise,
             stats=stats,
         )
@@ -179,61 +166,17 @@ def run_pytest_benchmarks() -> dict:
     }
 
 
-def run_experiments_bench(out_path: Path) -> tuple[dict, bool]:
-    """Benchmark the experiment engine (E1–E12 suite) against the
-    per-driver seed path, write ``BENCH_experiments.json``, and
-    evaluate the engine gates."""
-    from repro.experiments import bench_suite
-
-    bench = bench_suite()
-    out_path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(bench, indent=2, sort_keys=True))
-    print(f"\nwrote {out_path}")
-
-    speedup_ok = bench["speedup_vs_seed"] >= 3.0
-    parity_ok = bench["parallel_serial_tables_identical"]
-    seed_parity_ok = bench["seed_engine_tables_identical_e1_e11"]
-    svr_ok = bool(bench["svr_warm"]) and all(
-        d["acceptance"] >= 0.8 for d in bench["svr_warm"].values()
-    )
-    ok = speedup_ok and parity_ok and seed_parity_ok and svr_ok
-    if not ok:
-        print(
-            "EXPERIMENTS SMOKE FAILURE: "
-            f"speedup_vs_seed={bench['speedup_vs_seed']} (need >=3), "
-            f"parallel/serial parity={parity_ok}, "
-            f"seed/engine E1-E11 parity={seed_parity_ok}, "
-            f"svr warm acceptance ok={svr_ok}"
-        )
-    return bench, ok
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_pipeline.json"))
-    parser.add_argument(
-        "--experiments-out",
-        default=str(REPO_ROOT / "BENCH_experiments.json"),
-        help="where the experiment-engine section writes its timings",
-    )
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument(
-        "--experiments-only",
-        action="store_true",
-        help="run only the experiment-engine bench (the CI experiments "
-        "job's entry point)",
-    )
     parser.add_argument(
         "--pytest-bench",
         action="store_true",
         help="also run the pytest-benchmark files (slower)",
     )
     args = parser.parse_args(argv)
-
-    if args.experiments_only:
-        _, experiments_ok = run_experiments_bench(Path(args.experiments_out))
-        return 0 if experiments_ok else 1
 
     # Executor sweep: interpreter vs the kernel compiler.
     compile_section, compile_ok = executor_compile_bench(args.repeat)
@@ -253,12 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         warm = MeasurementCache(root=Path(tmp) / "warm")
         sweep_both(1, warm)  # prime (also pays the one-time prepass)
         warm_cache = best_of(args.repeat, lambda: sweep_both(1, warm))
-        warm_nopre = best_of(
-            args.repeat, lambda: sweep_both(1, warm, prepass=False)
-        )
-        warm_pre = best_of(
-            args.repeat, lambda: sweep_both(1, warm, prepass=True)
-        )
 
         # Supervision layer pricing: the fault-tolerant supervisor vs
         # the raw executor, on the warm (all-cached) hot path and on a
@@ -332,14 +269,6 @@ def main(argv: list[str] | None = None) -> int:
             "estimated_work": round(parallel_stats.estimated_work, 1),
         },
         "executor_compile": compile_section,
-        "static_prepass": {
-            "warm_with_prepass_s": round(warm_pre, 4),
-            "warm_without_prepass_s": round(warm_nopre, 4),
-            "overhead_s": round(warm_pre - warm_nopre, 4),
-            "overhead_pct": round(
-                100.0 * (warm_pre - warm_nopre) / warm_nopre, 2
-            ),
-        },
         "resilience": {
             "warm_supervised_s": round(warm_sup, 4),
             "warm_raw_s": round(warm_raw, 4),
@@ -373,15 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(report, indent=2))
     print(f"\nwrote {out}")
 
-    experiments_bench, experiments_ok = run_experiments_bench(
-        Path(args.experiments_out)
-    )
-
     ok = report["loocv_l2"]["max_abs_difference"] < 1e-8
     warm_ok = report["dataset_build"]["warm_speedup"] >= 1.0
-    # The verify+lint gate is memoized; a warm rebuild must not pay
-    # more than 5% for it (timer-noise floor of 2 ms for tiny sweeps).
-    prepass_ok = (warm_pre - warm_nopre) < max(0.05 * warm_nopre, 0.002)
     # The supervised pool's bookkeeping (retry queue, journal hooks,
     # deadline checks) must stay off the warm path: <5% over the raw
     # executor, with the same timer-noise floor.
@@ -401,20 +323,17 @@ def main(argv: list[str] | None = None) -> int:
     if not (
         ok
         and warm_ok
-        and prepass_ok
         and resilience_ok
         and parallel_ok
         and compile_ok
         and nnls_ok
-        and experiments_ok
     ):
         print(
             "SMOKE FAILURE: fast LOOCV disagrees, warm build regressed, "
-            "the static prepass costs >5% on a warm rebuild, the "
-            "supervised pool costs >5% over the raw executor, the "
+            "the supervised pool costs >5% over the raw executor, the "
             "parallel sweep silently lost to serial, the kernel "
-            "compiler missed its 5x cold-sweep bar, warm-start NNLS LOOCV regressed, or the experiment engine "
-            "missed its gates"
+            "compiler missed its 5x cold-sweep bar, or warm-start NNLS "
+            "LOOCV regressed"
         )
         return 1
     return 0

@@ -24,7 +24,6 @@ from .matrix import (
     clear_matrix_cache,
     design_matrix,
     get_bundle,
-    matrix_cache_disabled,
     matrix_cache_info,
     samples_fingerprint,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "clear_matrix_cache",
     "design_matrix",
     "get_bundle",
-    "matrix_cache_disabled",
     "matrix_cache_info",
     "samples_fingerprint",
     "LinearCostModel",

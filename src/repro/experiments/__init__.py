@@ -3,7 +3,6 @@
 from .base import (
     ExperimentResult,
     clear_engine_cache,
-    engine_cache_disabled,
     engine_cache_info,
     fit_cached,
     loocv_cached,
@@ -25,19 +24,16 @@ from .corpus import (
 )
 from .registry import EXPERIMENTS, EXPLICIT_ONLY, run_all, run_experiment
 from .reporting import ascii_table, fail_summary, text_scatter
-from .scheduler import SuiteRun, bench_suite, run_suite, seed_mode
+from .scheduler import SuiteRun, run_suite
 
 __all__ = [
     "ExperimentResult",
     "clear_engine_cache",
-    "engine_cache_disabled",
     "engine_cache_info",
     "fit_cached",
     "loocv_cached",
     "SuiteRun",
-    "bench_suite",
     "run_suite",
-    "seed_mode",
     "ARM_LLV",
     "DEFAULT_JITTER",
     "Dataset",

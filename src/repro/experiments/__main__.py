@@ -3,11 +3,9 @@
 Runs the requested paper-figure reproductions through the suite
 scheduler — shared dataset builds, shared fitted models, drivers on a
 bounded executor (``--serial`` / ``--jobs`` control it) — and prints
-their tables and text scatters.  ``--bench`` times the engine against
-the per-driver seed path and writes ``BENCH_experiments.json``.
-Measurement-pipeline knobs (worker processes, the persistent cache)
-are configured here and apply to every dataset the selected
-experiments build.
+their tables and text scatters.  Measurement-pipeline knobs (worker
+processes, the persistent cache) are configured here and apply to
+every dataset the selected experiments build.
 
 ``python -m repro.experiments analyze …`` dispatches to the static
 analysis CLI instead (see :mod:`.analyze`), ``… chaos`` to the
@@ -22,7 +20,6 @@ search experiment (see :mod:`repro.dse.experiment`).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..pipeline import configure, default_cache
@@ -93,19 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="driver threads for --parallel (default: bounded by cpu "
         "count and the number of selected experiments)",
-    )
-    sched.add_argument(
-        "--bench",
-        action="store_true",
-        help="time the engine against the per-driver seed path (4 suite "
-        "passes), assert serial/parallel table parity, and write the "
-        "results to --bench-out",
-    )
-    sched.add_argument(
-        "--bench-out",
-        default="BENCH_experiments.json",
-        metavar="FILE",
-        help="where --bench writes its timings (default: %(default)s)",
     )
     pipe = parser.add_argument_group("measurement pipeline")
     pipe.add_argument(
@@ -201,18 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         removed = default_cache().clear()
         print(f"[cache] cleared {removed} entries from {default_cache().root}")
 
-    from .scheduler import bench_suite, run_suite
-
-    if args.bench:
-        bench = bench_suite(args.ids, jobs=args.jobs)
-        with open(args.bench_out, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-        print(json.dumps(bench, indent=2, sort_keys=True))
-        print(f"[bench written to {args.bench_out}]")
-        if not bench["parallel_serial_tables_identical"]:
-            print("FAIL: parallel and serial report tables differ")
-            return 1
-        return 0
+    from .scheduler import run_suite
 
     run = run_suite(args.ids, parallel=args.parallel, jobs=args.jobs)
     for result in run.results:

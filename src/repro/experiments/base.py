@@ -5,18 +5,16 @@ E1–E12 share fitted models and LOOCV sweeps.  The suite fits, e.g.,
 rated-NNLS on the ARM dataset in four different drivers (E4, E5, E6,
 E7); with the memo the first caller pays and the rest reuse the
 fitted model.  Keys are (dataset fingerprint, model name), so any
-change to the sample list rebuilds.  ``REPRO_ENGINE_CACHE=0`` or
-:func:`engine_cache_disabled` restores the per-driver seed behavior.
+change to the sample list rebuilds.  The memo is a
+:class:`~repro.memo.Memo`: concurrent drivers asking for the same
+(dataset, model) pair share one computation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from ..costmodel.matrix import samples_fingerprint
 from ..costmodel.rated import RatedSpeedupModel
 from ..costmodel.speedup import SpeedupModel
 from ..fitting import LeastSquares, LinearSVR, NonNegativeLeastSquares
+from ..memo import Memo
 from ..validation.loocv import loocv_predictions
 from ..validation.metrics import EvalReport, evaluate
 from .reporting import ascii_table, text_scatter
@@ -107,69 +106,16 @@ def _regressor(method: str):
 
 # -- the engine memo ---------------------------------------------------------
 
-_ENGINE_ENABLED = os.environ.get("REPRO_ENGINE_CACHE", "1") != "0"
-_ENGINE_LOCK = threading.Lock()
-_ENGINE_MEMO: dict[tuple, object] = {}
-_ENGINE_KEY_LOCKS: dict[tuple, threading.Lock] = {}
-_ENGINE_HITS = 0
-_ENGINE_MISSES = 0
+_ENGINE = Memo()
 
 
 def clear_engine_cache() -> None:
     """Drop every memoized fit/LOOCV result (datasets survive)."""
-    global _ENGINE_HITS, _ENGINE_MISSES
-    with _ENGINE_LOCK:
-        _ENGINE_MEMO.clear()
-        _ENGINE_KEY_LOCKS.clear()
-        _ENGINE_HITS = 0
-        _ENGINE_MISSES = 0
+    _ENGINE.clear()
 
 
 def engine_cache_info() -> dict:
-    with _ENGINE_LOCK:
-        return {
-            "enabled": _ENGINE_ENABLED,
-            "entries": len(_ENGINE_MEMO),
-            "hits": _ENGINE_HITS,
-            "misses": _ENGINE_MISSES,
-        }
-
-
-@contextmanager
-def engine_cache_disabled() -> Iterator[None]:
-    """Every driver refits everything itself (seed-path emulation)."""
-    global _ENGINE_ENABLED
-    prior = _ENGINE_ENABLED
-    _ENGINE_ENABLED = False
-    try:
-        yield
-    finally:
-        _ENGINE_ENABLED = prior
-
-
-def _engine_memo(key: tuple, compute: Callable[[], object]) -> object:
-    """Compute-once memo with per-key locking.
-
-    Concurrent drivers asking for the same (dataset, model) pair block
-    on the key's lock and share one computation; distinct keys never
-    serialize against each other.
-    """
-    global _ENGINE_HITS, _ENGINE_MISSES
-    with _ENGINE_LOCK:
-        if key in _ENGINE_MEMO:
-            _ENGINE_HITS += 1
-            return _ENGINE_MEMO[key]
-        key_lock = _ENGINE_KEY_LOCKS.setdefault(key, threading.Lock())
-    with key_lock:
-        with _ENGINE_LOCK:
-            if key in _ENGINE_MEMO:
-                _ENGINE_HITS += 1
-                return _ENGINE_MEMO[key]
-        value = compute()
-        with _ENGINE_LOCK:
-            _ENGINE_MISSES += 1
-            _ENGINE_MEMO[key] = value
-    return value
+    return _ENGINE.info()
 
 
 def fit_cached(model, samples: Sequence[Sample]):
@@ -179,10 +125,8 @@ def fit_cached(model, samples: Sequence[Sample]):
     The returned instance may not be the one passed in; fitted models
     are immutable after ``fit`` in this codebase, so sharing is safe.
     """
-    if not _ENGINE_ENABLED:
-        return model.fit(samples)
     key = ("fit", samples_fingerprint(samples), model.name)
-    return _engine_memo(key, lambda: model.fit(samples))
+    return _ENGINE.get(key, lambda: model.fit(samples))
 
 
 def loocv_cached(
@@ -196,8 +140,6 @@ def loocv_cached(
     certificate) whether the sweep was computed or replayed from the
     memo.  The returned array is a private copy.
     """
-    if not _ENGINE_ENABLED:
-        return loocv_predictions(factory, samples, stats=stats)
     probe = factory()
     key = ("loocv", samples_fingerprint(samples), probe.name)
 
@@ -206,7 +148,7 @@ def loocv_cached(
         preds = loocv_predictions(factory, samples, stats=st)
         return preds, st
 
-    preds, st = _engine_memo(key, compute)
+    preds, st = _ENGINE.get(key, compute)
     if stats is not None:
         stats.update(st)
     return preds.copy()
@@ -222,11 +164,6 @@ def fit_and_report(
     for the non-LOOCV figures).  Fit, predictions and report are all
     served from the engine memo when another driver already asked for
     the same (dataset, model, targets) triple."""
-    if not _ENGINE_ENABLED:
-        if fit:
-            model.fit(samples)
-        preds = predict_all(model, samples)
-        return evaluate(model.name, preds, measured), preds
     measured = np.asarray(measured, dtype=np.float64)
     key = (
         "report",
@@ -241,7 +178,7 @@ def fit_and_report(
         preds = predict_all(fitted, samples)
         return evaluate(fitted.name, preds, measured), preds
 
-    report, preds = _engine_memo(key, compute)
+    report, preds = _ENGINE.get(key, compute)
     return report, preds.copy()
 
 

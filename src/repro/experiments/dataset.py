@@ -14,13 +14,13 @@ one process return the same object.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..costmodel.base import Sample
+from ..memo import Memo
 from ..pipeline.build import DatasetBuildStats, measure_suite
 from ..pipeline.resilience import FailureReport
 
@@ -116,11 +116,7 @@ class Dataset:
 
 #: In-memory memo, keyed by measurement identity (worker count and
 #: cache state cannot change the values, so they are not in the key).
-_MEMO: dict[tuple, Dataset] = {}
-#: Per-identity build locks: concurrent experiment drivers asking for
-#: the same spec must share one sweep, not race two.
-_MEMO_LOCK = threading.Lock()
-_BUILD_LOCKS: dict[tuple, threading.Lock] = {}
+_MEMO = Memo()
 
 
 def build_dataset(spec: Optional[DatasetSpec] = None, **kwargs) -> Dataset:
@@ -128,37 +124,27 @@ def build_dataset(spec: Optional[DatasetSpec] = None, **kwargs) -> Dataset:
 
     Thread-safe: each measurement identity is built exactly once per
     process; concurrent callers (the suite scheduler runs drivers on
-    an executor) block on the identity's build lock and receive the
-    same ``Dataset`` object.
+    an executor) share one sweep and receive the same ``Dataset``
+    object.
     """
     if spec is None:
         spec = DatasetSpec(**kwargs)
     elif kwargs:
         raise TypeError("pass either a spec or keyword overrides, not both")
-    key = spec.identity
-    ds = _MEMO.get(key)
-    if ds is not None:
-        return ds
-    with _MEMO_LOCK:
-        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
-    with build_lock:
-        ds = _MEMO.get(key)
-        if ds is None:
-            # partial=True: a kernel the resilient sweep had to
-            # quarantine shrinks the dataset (and is reported) instead
-            # of killing the experiment that asked for it.
-            stats = DatasetBuildStats()
-            samples, failures, report = measure_suite(
-                spec, partial=True, stats=stats
-            )
-            ds = Dataset(spec, samples, failures, report, stats)
-            with _MEMO_LOCK:
-                _MEMO[key] = ds
-    return ds
+
+    def build() -> Dataset:
+        # partial=True: a kernel the resilient sweep had to quarantine
+        # shrinks the dataset (and is reported) instead of killing the
+        # experiment that asked for it.
+        stats = DatasetBuildStats()
+        samples, failures, report = measure_suite(
+            spec, partial=True, stats=stats
+        )
+        return Dataset(spec, samples, failures, report, stats)
+
+    return _MEMO.get(spec.identity, build)
 
 
 def clear_dataset_memo() -> None:
     """Drop the in-process memo (persistent cache entries survive)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-        _BUILD_LOCKS.clear()
+    _MEMO.clear()

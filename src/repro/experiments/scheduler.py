@@ -16,12 +16,8 @@
 
 Per-experiment wall time is recorded on each result (``wall_s``) and in
 the returned :class:`SuiteRun`; the report tables themselves stay
-bit-identical between serial and parallel runs — that property is
-asserted by the benchmarks and CI.
-
-``seed_mode`` recreates the pre-engine behavior (no matrix bundles, no
-engine memo, cold SVR folds, serial drivers) so the benchmarks can
-measure the engine against the path it replaced.
+bit-identical between serial and parallel runs, and to each driver run
+alone from cleared memos — the tier-1 tests assert both.
 """
 
 from __future__ import annotations
@@ -29,13 +25,10 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..costmodel.matrix import matrix_cache_disabled
-from ..validation.loocv import svr_warm_disabled
-from .base import ExperimentResult, engine_cache_disabled
+from .base import ExperimentResult
 from .dataset import ARM_LLV, X86_SLP, DatasetSpec, build_dataset
 from .registry import EXPERIMENTS, EXPLICIT_ONLY
 
@@ -158,94 +151,3 @@ def run_suite(
         total_s=now - t_start,
         wall_by_id={r.id: r.wall_s for r in results},
     )
-
-
-@contextmanager
-def seed_mode() -> Iterator[None]:
-    """Disable every engine layer at once: per-call feature stacking,
-    per-driver refits, cold SVR folds.  The benchmarks run the suite
-    under this to measure the seed path the engine replaced."""
-    with matrix_cache_disabled(), engine_cache_disabled(), svr_warm_disabled():
-        yield
-
-
-def bench_suite(
-    ids: Optional[Sequence[str]] = None, jobs: Optional[int] = None
-) -> dict:
-    """Four timed suite passes + the parity checks; the payload of
-    ``BENCH_experiments.json``.
-
-    * ``seed``: serial drivers under :func:`seed_mode` — the per-driver
-      path this PR replaced (measurement cache warm in all passes, so
-      the comparison isolates the fitting-side engine).
-    * ``engine_cold``: fresh fitting-side caches, parallel drivers.
-    * ``engine_warm``: same invocation again, everything memoized.
-    * ``engine_serial``: fresh caches, serial drivers — must produce
-      bit-identical report tables to the parallel pass.
-    """
-    from ..costmodel.matrix import clear_matrix_cache
-    from .base import clear_engine_cache, loocv_cached
-
-    ids = normalize_ids(ids)
-    for spec in required_specs(ids):
-        build_dataset(spec)
-
-    with seed_mode():
-        seed_run = run_suite(ids, parallel=False)
-    clear_matrix_cache()
-    clear_engine_cache()
-    cold_run = run_suite(ids, parallel=True, jobs=jobs)
-    warm_run = run_suite(ids, parallel=True, jobs=jobs)
-    clear_matrix_cache()
-    clear_engine_cache()
-    serial_run = run_suite(ids, parallel=False)
-
-    parity = cold_run.tables_text() == serial_run.tables_text()
-    # E12's LOOCV is objective-level equivalent (not bitwise) between
-    # warm and cold folds, so seed-vs-engine table identity is only
-    # claimed for the paper experiments.
-    paper = [i for i, eid in enumerate(ids) if eid != "E12"]
-    seed_tables = seed_run.tables_text()
-    cold_tables = cold_run.tables_text()
-    seed_parity = all(seed_tables[i] == cold_tables[i] for i in paper)
-
-    svr_warm = {}
-    if "E12" in ids:
-        from .drivers import _rated_svr_factory
-
-        for spec in (ARM_LLV, X86_SLP):
-            ds = build_dataset(spec)
-            st: dict = {}
-            loocv_cached(_rated_svr_factory, ds.samples, stats=st)
-            warm = st.get("svr_warm")
-            if warm is not None:
-                svr_warm[spec.label] = {
-                    "folds": warm.folds,
-                    "accepted": warm.accepted,
-                    "acceptance": round(warm.acceptance, 4),
-                }
-
-    def _times(run: SuiteRun) -> dict:
-        return {
-            "total_s": round(run.total_s, 4),
-            "drivers_s": round(run.drivers_s, 4),
-            "mode": run.mode,
-            "jobs": run.jobs,
-            "wall_by_id": {k: round(v, 4) for k, v in run.wall_by_id.items()},
-        }
-
-    return {
-        "ids": ids,
-        "cpu_count": os.cpu_count(),
-        "seed": _times(seed_run),
-        "engine_cold": _times(cold_run),
-        "engine_warm": _times(warm_run),
-        "engine_serial": _times(serial_run),
-        "speedup_vs_seed": round(seed_run.total_s / max(cold_run.total_s, 1e-9), 2),
-        "warm_speedup_vs_seed": round(
-            seed_run.total_s / max(warm_run.total_s, 1e-9), 2
-        ),
-        "parallel_serial_tables_identical": parity,
-        "seed_engine_tables_identical_e1_e11": seed_parity,
-        "svr_warm": svr_warm,
-    }

@@ -133,24 +133,38 @@ def resolve_workers(
             workers = max(1, int(candidate))
             break
     if workers is None:
-        env = os.environ.get("REPRO_WORKERS")
-        if env is not None and env.strip():
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_WORKERS must be a positive integer, got {env!r}"
-                ) from None
-            if value <= 0:
-                raise ValueError(
-                    f"REPRO_WORKERS must be a positive integer, got {env!r}"
-                )
-            workers = value
-        else:
-            workers = os.cpu_count() or 1
+        workers = _positive_int_env("REPRO_WORKERS") or os.cpu_count() or 1
     if pending is not None:
         workers = min(workers, max(1, pending))
     return workers
+
+
+def resolve_max_attempts(explicit: Optional[int] = None) -> int:
+    """Attempts per kernel: explicit > ``configure`` >
+    ``REPRO_MAX_ATTEMPTS`` > 3.  A malformed variable raises like
+    ``REPRO_WORKERS`` does."""
+    for candidate in (explicit, _CONFIG.max_attempts):
+        if candidate is not None:
+            return candidate
+    return _positive_int_env("REPRO_MAX_ATTEMPTS") or 3
+
+
+def _positive_int_env(name: str) -> Optional[int]:
+    """The positive integer in ``$name``, or ``None`` when unset/blank.
+
+    Anything else raises a ``ValueError`` naming the variable instead
+    of surfacing as a confusing failure deep in a pool or retry loop.
+    """
+    env = os.environ.get(name)
+    if env is None or not env.strip():
+        return None
+    try:
+        value = int(env)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {env!r}")
 
 
 def resolve_timeout(explicit: Optional[float] = None) -> Optional[float]:
@@ -423,7 +437,6 @@ def measure_suite(
     *,
     workers: Optional[int] = None,
     cache: Optional[MeasurementCache] = None,
-    prepass: Optional[bool] = None,
     timeout: Optional[float] = None,
     max_attempts: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
@@ -445,9 +458,8 @@ def measure_suite(
     :func:`repro.tsvc.get_kernel`, because pool workers and checkpoint
     journals re-resolve kernels that way.  ``journal_tag`` namespaces
     the checkpoint journal (shards of one corpus must not share a
-    journal file).  ``prepass`` controls the verify+lint gate
-    run before the cache is consulted (default on; ``REPRO_PREPASS=0``
-    disables it).
+    journal file).  The verify+lint+range gate (:func:`static_prepass`)
+    always runs before the cache is consulted.
 
     Fault tolerance (see :mod:`.resilience`): each uncached kernel
     gets ``timeout`` seconds per attempt (``REPRO_TIMEOUT``) and up to
@@ -474,12 +486,7 @@ def measure_suite(
     workers = resolve_workers(workers if workers is not None else spec.workers)
     timeout = resolve_timeout(timeout)
     if retry is None:
-        if max_attempts is None:
-            max_attempts = _CONFIG.max_attempts
-        if max_attempts is None:
-            env = os.environ.get("REPRO_MAX_ATTEMPTS")
-            max_attempts = int(env) if env and env.strip() else 3
-        retry = RetryPolicy(max_attempts=max_attempts)
+        retry = RetryPolicy(max_attempts=resolve_max_attempts(max_attempts))
     if isinstance(faults, str):
         faults = faultinject.parse_faults(faults)
     elif faults is None:
@@ -488,10 +495,7 @@ def measure_suite(
         resume = bool(_CONFIG.resume)
 
     kernels = list(all_kernels()) if kernels is None else list(kernels)
-    if prepass is None:
-        prepass = os.environ.get("REPRO_PREPASS", "1") != "0"
-    if prepass:
-        static_prepass(kernels)
+    static_prepass(kernels)
     results: dict[str, Payload] = {}
     pending: list[str] = []
     fingerprints: dict[str, str] = {}

@@ -90,7 +90,6 @@ def measure_corpus(
     shards: int = 1,
     workers: Optional[int] = None,
     cache: Optional[MeasurementCache] = None,
-    prepass: Optional[bool] = None,
     timeout: Optional[float] = None,
     max_attempts: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
@@ -128,7 +127,6 @@ def measure_corpus(
             spec,
             workers=workers,
             cache=cache,
-            prepass=prepass,
             timeout=timeout,
             max_attempts=max_attempts,
             retry=retry,

@@ -41,7 +41,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,6 +49,7 @@ import numpy as np
 
 from ..costmodel import matrix
 from ..costmodel.base import EPS, Sample
+from ..pipeline.resilience import _fsync_dir
 
 #: Bump when the entry layout changes; foreign-schema entries are
 #: treated as invalid (evicted on load) rather than misread.
@@ -557,17 +558,3 @@ class ModelRegistry:
                     }
                 )
             return out
-
-
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry so a rename survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)

@@ -15,7 +15,6 @@ from .loocv import (
     fast_loocv_eligible,
     kfold_predictions,
     loocv_predictions,
-    svr_warm_disabled,
     warm_nnls_eligible,
     warm_svr_eligible,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "fast_loocv_eligible",
     "warm_nnls_eligible",
     "warm_svr_eligible",
-    "svr_warm_disabled",
     "PolicyOutcome",
     "always_cycles",
     "never_cycles",

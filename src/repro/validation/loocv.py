@@ -30,8 +30,7 @@ mask per fold) instead of rebuilding O(N²) sample sublists.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,20 +46,6 @@ ModelFactory = Callable[[], FittedModel]
 #: Rows whose leverage is this close to 1 are refitted naively — the
 #: identity divides by (1 − h) and the deleted design may drop rank.
 LEVERAGE_TOL = 1e-8
-
-_SVR_WARM_ENABLED = True
-
-
-@contextmanager
-def svr_warm_disabled() -> Iterator[None]:
-    """Force SVR LOOCV through the cold refit loop (benches/tests)."""
-    global _SVR_WARM_ENABLED
-    prior = _SVR_WARM_ENABLED
-    _SVR_WARM_ENABLED = False
-    try:
-        yield
-    finally:
-        _SVR_WARM_ENABLED = prior
 
 
 def loocv_predictions(
@@ -114,8 +99,7 @@ def warm_nnls_eligible(model: FittedModel) -> bool:
 def warm_svr_eligible(model: FittedModel) -> bool:
     """The SVR warm path: unbounded linear SVR speedup models."""
     return (
-        _SVR_WARM_ENABLED
-        and isinstance(model, SpeedupModel)
+        isinstance(model, SpeedupModel)
         and type(model.regressor) is LinearSVR
         and not model.regressor.nonneg
     )

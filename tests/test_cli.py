@@ -69,22 +69,6 @@ def test_parallel_and_serial_tables_identical(capsys):
     assert tables(parallel_out) == tables(serial_out)
 
 
-def test_bench_writes_report(tmp_path, capsys):
-    out_file = tmp_path / "bench.json"
-    assert main(["E1", "E2", "--bench", "--bench-out", str(out_file)]) == 0
-    assert out_file.exists()
-    import json
-
-    bench = json.loads(out_file.read_text())
-    assert bench["ids"] == ["E1", "E2"]
-    assert bench["parallel_serial_tables_identical"] is True
-    assert bench["seed_engine_tables_identical_e1_e11"] is True
-    for section in ("seed", "engine_cold", "engine_warm", "engine_serial"):
-        assert bench[section]["total_s"] >= 0.0
-    out = capsys.readouterr().out
-    assert "bench written to" in out
-
-
 def test_list_includes_e12(capsys):
     assert main(["--list"]) == 0
     assert "E12" in capsys.readouterr().out

@@ -225,17 +225,6 @@ def test_memo_hits_and_model_bump_invalidates(model, bumped_model):
     assert dse_cache_info()["misses"] == after["misses"] + 1
 
 
-def test_cache_disabled_recomputes(model):
-    from repro.dse.engine import dse_cache_disabled
-
-    kernel = SUITE[3]
-    with dse_cache_disabled():
-        a = search_kernel(kernel, ARMV8_NEON, model)
-        b = search_kernel(kernel, ARMV8_NEON, model)
-    assert a is not b
-    assert a.to_dict() == b.to_dict()
-
-
 # -- chaos --------------------------------------------------------------------
 
 @pytest.mark.parametrize("driver", ["exhaustive", "verified"])

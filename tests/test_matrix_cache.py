@@ -11,7 +11,6 @@ from repro.costmodel import (
     clear_matrix_cache,
     design_matrix,
     get_bundle,
-    matrix_cache_disabled,
     matrix_cache_info,
     predict_all,
     samples_fingerprint,
@@ -68,10 +67,10 @@ class TestBatchParity:
     def test_design_matrix_matches_loop(self, fn):
         samples = toy_samples()
         looped = np.stack([fn(s) for s in samples])
-        with matrix_cache_disabled():
-            fresh = design_matrix(samples, fn)
+        clear_matrix_cache()
+        fresh = design_matrix(samples, fn)
         cached = design_matrix(samples, fn)
-        assert np.array_equal(cached, looped)
+        assert cached is fresh  # the second call is served by the bundle
         assert np.array_equal(fresh, looped)
 
     def test_target_speedup_matches_loop(self):
@@ -176,15 +175,6 @@ class TestInvalidation:
 
 
 class TestCacheControl:
-    def test_disabled_context_builds_fresh(self):
-        samples = toy_samples()
-        with matrix_cache_disabled():
-            a = get_bundle(samples)
-            b = get_bundle(samples)
-            assert a is not b
-            assert np.array_equal(a.measured, b.measured)
-        assert matrix_cache_info()["bundles"] == 0
-
     def test_clear_drops_bundles(self):
         get_bundle(toy_samples())
         assert matrix_cache_info()["bundles"] == 1
@@ -211,94 +201,3 @@ class TestCacheControl:
         assert np.array_equal(X, np.stack([custom(s) for s in samples]))
         assert X.flags.writeable  # per-call stack, caller owns it
         assert matrix_cache_info()["bundles"] == 0
-
-
-class TestDiskTier:
-    """On-disk bundle persistence: REPRO_MATRIX_CACHE_DIR."""
-
-    def test_disk_roundtrip_warm_starts_a_cold_process(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_MATRIX_CACHE_DIR", str(tmp_path))
-        samples = toy_samples()
-        built = get_bundle(samples)
-        fp = built.fingerprint
-        assert (tmp_path / f"bundle-{fp}.pkl").is_file()
-        assert (tmp_path / f"bundle-{fp}.pkl.sha256").is_file()
-
-        # Simulate a fresh process: drop memory, load from disk.
-        clear_matrix_cache()
-        loaded = get_bundle(samples)
-        assert loaded is not built
-        for field in (
-            "vf",
-            "measured",
-            "scalar_cpi",
-            "vector_cpi",
-            "scalar_features",
-            "vector_features",
-        ):
-            np.testing.assert_array_equal(
-                getattr(loaded, field), getattr(built, field)
-            )
-        assert not loaded.measured.flags.writeable
-
-    def test_corrupt_bundle_evicts_and_rebuilds(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MATRIX_CACHE_DIR", str(tmp_path))
-        samples = toy_samples()
-        fp = get_bundle(samples).fingerprint
-        path = tmp_path / f"bundle-{fp}.pkl"
-        path.write_bytes(b"\x80\x05 torn mid-write")
-
-        clear_matrix_cache()
-        rebuilt = get_bundle(samples)  # must not raise
-        np.testing.assert_array_equal(
-            rebuilt.measured, [s.measured_speedup for s in samples]
-        )
-        # The rebuild re-persisted valid bytes.
-        import hashlib
-
-        blob = path.read_bytes()
-        recorded = (
-            (tmp_path / f"bundle-{fp}.pkl.sha256").read_text().strip()
-        )
-        assert hashlib.sha256(blob).hexdigest() == recorded
-
-    def test_missing_sidecar_counts_as_corruption(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MATRIX_CACHE_DIR", str(tmp_path))
-        samples = toy_samples()
-        fp = get_bundle(samples).fingerprint
-        (tmp_path / f"bundle-{fp}.pkl.sha256").unlink()
-        clear_matrix_cache()
-        assert get_bundle(samples).n == len(samples)  # silent rebuild
-
-    def test_foreign_schema_is_evicted_not_deserialized(
-        self, tmp_path, monkeypatch
-    ):
-        import hashlib
-        import pickle
-
-        monkeypatch.setenv("REPRO_MATRIX_CACHE_DIR", str(tmp_path))
-        samples = toy_samples()
-        fp = get_bundle(samples).fingerprint
-        path = tmp_path / f"bundle-{fp}.pkl"
-        blob = pickle.dumps({"schema": 999, "fingerprint": fp})
-        path.write_bytes(blob)
-        (tmp_path / f"bundle-{fp}.pkl.sha256").write_text(
-            hashlib.sha256(blob).hexdigest()
-        )
-        clear_matrix_cache()
-        assert get_bundle(samples).n == len(samples)
-
-    def test_tier_off_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_MATRIX_CACHE_DIR", raising=False)
-        get_bundle(toy_samples())
-        assert list(tmp_path.iterdir()) == []
-
-    def test_unwritable_dir_degrades_to_no_persistence(
-        self, tmp_path, monkeypatch
-    ):
-        target = tmp_path / "blocked"
-        target.write_text("a file where the dir should be")
-        monkeypatch.setenv("REPRO_MATRIX_CACHE_DIR", str(target))
-        assert get_bundle(toy_samples()).n == 10  # must not raise

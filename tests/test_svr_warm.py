@@ -14,7 +14,7 @@ from repro.fitting.svr import (
     svr_warm_loocv,
 )
 from repro.validation import loocv_predictions
-from repro.validation.loocv import svr_warm_disabled, warm_svr_eligible
+from repro.validation.loocv import warm_svr_eligible
 
 
 def toy_Xy(n=40, d=6, seed=0, noise=0.05):
@@ -136,8 +136,7 @@ class TestLOOCVIntegration:
 
         stats = {}
         warm = loocv_predictions(factory, samples, stats=stats)
-        with svr_warm_disabled():
-            cold = loocv_predictions(factory, samples)
+        cold = loocv_predictions(factory, samples, fast=False)
         assert "svr_warm" in stats
         assert np.isfinite(warm).all() and np.isfinite(cold).all()
         # Objective-level equivalence: both paths sit within the
@@ -162,8 +161,7 @@ class TestLOOCVIntegration:
         warm_stats = stats["svr_warm"]
         assert warm_stats.accepted == 0
         assert np.isfinite(preds).all()
-        with svr_warm_disabled():
-            cold = loocv_predictions(factory, samples)
+        cold = loocv_predictions(factory, samples, fast=False)
         np.testing.assert_array_equal(preds, cold)
 
 
