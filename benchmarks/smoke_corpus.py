@@ -7,8 +7,8 @@
 Corpus kernels come from the property-based generator, so the bench
 scales to any ``--size`` without touching the suite:
 
-* ``sharding``     — ``measure_corpus`` with ``--shards`` shards and a
-  stream directory vs a serial single-shard sweep of the same names:
+* ``sharding``     — ``measure_corpus`` with ``--shards`` shards vs a
+  serial single-shard sweep of the same names:
   bit-identical samples, identical failures, zero quarantines.
   **Gated**.
 
@@ -22,7 +22,6 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -40,7 +39,7 @@ def nocache() -> MeasurementCache:
 
 
 def bench_sharding(size: int, shards: int) -> dict:
-    """Sharded + streamed sweep ≡ serial sweep, bit for bit."""
+    """Sharded sweep ≡ serial sweep, bit for bit."""
     names = corpus_kernel_names(size)
     t0 = time.perf_counter()
     serial = measure_corpus(
@@ -48,13 +47,9 @@ def bench_sharding(size: int, shards: int) -> dict:
         supervise=False, cache=nocache(),
     )
     serial_s = time.perf_counter() - t0
-    with tempfile.TemporaryDirectory() as stream:
-        t0 = time.perf_counter()
-        sharded = measure_corpus(
-            names, ARM_LLV, shards=shards,
-            cache=nocache(), stream_dir=stream,
-        )
-        sharded_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sharded = measure_corpus(names, ARM_LLV, shards=shards, cache=nocache())
+    sharded_s = time.perf_counter() - t0
     identical = (
         _samples_equal(serial.samples, sharded.samples)
         and serial.failures == sharded.failures

@@ -55,7 +55,6 @@ from .ranges import (
     ValueRangePass,
     crosscheck_kernel,
     prove_safe,
-    ranges_enabled,
 )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "ValueRangePass",
     "crosscheck_kernel",
     "prove_safe",
-    "ranges_enabled",
     "Diagnostics",
     "Remark",
     "Severity",

@@ -34,13 +34,14 @@ concrete execution (address evaluation over the real iteration space
 plus the dynamic dependence sanitizer); any disagreement means one side
 is wrong and is reported as a contradiction.
 
-``REPRO_RANGES=0`` disables every codegen consumer (the analyses still
-run for reporting); see :func:`ranges_enabled`.
+The consumers always read these proofs: the kernel compiler folds the
+fold-safe guards, and the measurement prepass and the advisor run
+:func:`prove_safe` on every kernel.  Folded code is checked against
+the unfolded interpreter, which never consumes a range fact.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,11 +67,6 @@ from .passes import stmt_list
 
 PASS_BOUNDS = "bounds"
 PASS_GUARD = "guard-range"
-
-
-def ranges_enabled() -> bool:
-    """Whether codegen may consume range proofs (``REPRO_RANGES`` != 0)."""
-    return os.environ.get("REPRO_RANGES", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -755,5 +751,4 @@ __all__ = [
     "ValueRangePass",
     "crosscheck_kernel",
     "prove_safe",
-    "ranges_enabled",
 ]

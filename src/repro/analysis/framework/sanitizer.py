@@ -9,8 +9,8 @@ index-array contents for indirect subscripts — and raises
 :class:`SanitizerError` when any lane pair inside a VF block conflicts
 in a way the static claims do not predict.
 
-Opt-in: ``run_vector(plan, bufs, sanitize=True)`` or the
-``REPRO_SANITIZE=1`` environment variable (see :mod:`repro.sim.executor`).
+Opt-in: ``run_vector(plan, bufs, sanitize=True)`` (see
+:mod:`repro.sim.executor`).
 A failure means the static analysis and the dynamic behavior disagree —
 one of them is wrong, and the measurement must not be trusted.
 """

@@ -10,7 +10,7 @@ and the benchmarks call.  It layers two things over the raw drivers:
   model fingerprint hashes the fitted weights — bumping a registry
   model version (or refitting on new data) changes the weights and
   invalidates every dependent search.
-* **Chaos hardening**: injected faults (``REPRO_FAULTS``) land at the
+* **Chaos hardening**: faults injected through ``faults=`` land at the
   ``dse:<kernel>`` site inside a bounded retry loop.  The fault plan's
   decisions are sha256-seeded per (site, attempt), so retries drain the
   schedule deterministically and a faulted search converges to the
@@ -129,7 +129,6 @@ def search_kernel(
         raise ValueError(
             f"unknown driver {driver!r}; expected one of {', '.join(search.DRIVERS)}"
         )
-    plan = faults if faults is not None else faultinject.plan_from_env()
     key = (
         "dse",
         kernel_fingerprint(kernel),
@@ -144,7 +143,7 @@ def search_kernel(
         last: Optional[InjectedFault] = None
         for attempt in range(MAX_ATTEMPTS):
             try:
-                faultinject.perturb(plan, f"dse:{kernel.name}", attempt)
+                faultinject.perturb(faults, f"dse:{kernel.name}", attempt)
                 return _search_once(
                     kernel, target, model, driver, seed, budget, manager
                 )

@@ -135,16 +135,14 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SECONDS",
         help="per-kernel measurement deadline; a worker that exceeds it "
-        "is killed and the kernel retried (default: REPRO_TIMEOUT env "
-        "or no deadline)",
+        "is killed and the kernel retried (default: no deadline)",
     )
     fault.add_argument(
         "--max-attempts",
         type=int,
         default=None,
         metavar="N",
-        help="attempts per kernel before quarantine "
-        "(default: REPRO_MAX_ATTEMPTS env or 3)",
+        help="attempts per kernel before quarantine (default: 3)",
     )
     fault.add_argument(
         "--checkpoint-dir",

@@ -40,7 +40,8 @@ import numpy as np
 
 from ..costmodel.base import Sample, predict_all
 from ..gen import corpus_names
-from ..pipeline.corpus import CorpusResult, measure_corpus
+from ..pipeline.build import _positive_int_env
+from ..pipeline.corpus import measure_corpus
 from ..validation.metrics import confusion, rmse
 from .base import ExperimentResult, fit_cached, make_speedup_model
 from .categories import category_report
@@ -65,17 +66,13 @@ DEFAULT_SIZES = (151, 400, 800, 1500)
 #: but are never in any training corpus.
 EVAL_SEED = 1
 DEFAULT_EVAL_SIZE = 120
+DEFAULT_SHARDS = 4
 
 
 def e13_sizes() -> tuple[int, ...]:
     """Corpus sizes for the learning curve (``REPRO_E13_SIZES`` env)."""
-    raw = os.environ.get("REPRO_E13_SIZES", "")
-    if not raw.strip():
-        return DEFAULT_SIZES
-    sizes = sorted({int(tok) for tok in raw.replace(",", " ").split()})
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"bad REPRO_E13_SIZES {raw!r}")
-    return tuple(sizes)
+    sizes = _positive_int_env("REPRO_E13_SIZES", many=True)
+    return tuple(sorted(set(sizes))) if sizes else DEFAULT_SIZES
 
 
 def corpus_kernel_names(size: int, *, seed: int = 0) -> list[str]:
@@ -94,31 +91,6 @@ def corpus_kernel_names(size: int, *, seed: int = 0) -> list[str]:
     if size <= len(suite):
         return suite[:size]
     return suite + corpus_names(size - len(suite), seed=seed)
-
-
-def _eval_spec(spec: DatasetSpec) -> DatasetSpec:
-    # Same measurement identity as training — only the kernel set
-    # (different generator seed) separates eval from train.
-    return spec
-
-
-def _sweep(
-    names: Sequence[str],
-    spec: DatasetSpec,
-    *,
-    shards: int,
-    workers: Optional[int],
-    stream_dir: Optional[str],
-    supervise: bool = True,
-) -> CorpusResult:
-    return measure_corpus(
-        list(names),
-        spec,
-        shards=shards,
-        workers=workers,
-        stream_dir=stream_dir,
-        supervise=supervise,
-    )
 
 
 def _eval_row(model, samples: Sequence[Sample]) -> dict:
@@ -140,7 +112,6 @@ def run_e13(
     eval_size: Optional[int] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
-    stream_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Learning curves: eval RMSE / decision accuracy vs corpus size.
 
@@ -152,12 +123,12 @@ def run_e13(
     """
     sizes = tuple(sizes) if sizes is not None else e13_sizes()
     eval_size = (
-        int(os.environ.get("REPRO_E13_EVAL", DEFAULT_EVAL_SIZE))
+        _positive_int_env("REPRO_E13_EVAL") or DEFAULT_EVAL_SIZE
         if eval_size is None
         else int(eval_size)
     )
     shards = (
-        int(os.environ.get("REPRO_E13_SHARDS", "4"))
+        _positive_int_env("REPRO_E13_SHARDS") or DEFAULT_SHARDS
         if shards is None
         else int(shards)
     )
@@ -174,13 +145,11 @@ def run_e13(
         ("x86", spec_x86, X86_SLP),
     ):
         spec = default if spec is None else spec
+        # Same measurement identity as training — only the kernel set
+        # (different generator seed) separates eval from train.
         eval_names = corpus_names(eval_size, seed=EVAL_SEED)
-        eval_res = _sweep(
-            eval_names,
-            _eval_spec(spec),
-            shards=shards,
-            workers=workers,
-            stream_dir=stream_dir,
+        eval_res = measure_corpus(
+            eval_names, spec, shards=shards, workers=workers
         )
         if not eval_res.samples:
             raise RuntimeError(
@@ -190,12 +159,8 @@ def run_e13(
         last_model = None
         for size in sizes:
             names = corpus_kernel_names(size, seed=spec.seed)
-            train = _sweep(
-                names,
-                spec,
-                shards=shards,
-                workers=workers,
-                stream_dir=stream_dir,
+            train = measure_corpus(
+                names, spec, shards=shards, workers=workers
             )
             model = fit_cached(make_speedup_model("nnls"), train.samples)
             row = {
@@ -294,12 +259,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="measurement spec (default: arm)",
     )
     parser.add_argument(
-        "--stream-dir",
-        default=None,
-        metavar="DIR",
-        help="stream shard payloads through DIR (peak memory = 1 shard)",
-    )
-    parser.add_argument(
         "--publish",
         action="store_true",
         help="fit the serving model on the corpus and publish it",
@@ -324,11 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     names = corpus_kernel_names(args.size, seed=args.seed)
     t0 = time.perf_counter()
     result = measure_corpus(
-        names,
-        spec,
-        shards=args.shards,
-        workers=args.workers,
-        stream_dir=args.stream_dir,
+        names, spec, shards=args.shards, workers=args.workers
     )
     sweep_s = time.perf_counter() - t0
     print(

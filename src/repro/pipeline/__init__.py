@@ -26,7 +26,6 @@ from .faultinject import (
     InjectedCrash,
     InjectedFault,
     parse_faults,
-    plan_from_env,
 )
 from .resilience import (
     CheckpointJournal,
@@ -42,7 +41,6 @@ from .cache import (
     MISS,
     CacheStats,
     MeasurementCache,
-    cache_enabled_by_env,
     default_cache,
     default_cache_dir,
     set_default_cache,
@@ -70,7 +68,6 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "parse_faults",
-    "plan_from_env",
     "CheckpointJournal",
     "FailureReport",
     "KernelFailure",
@@ -82,7 +79,6 @@ __all__ = [
     "MISS",
     "CacheStats",
     "MeasurementCache",
-    "cache_enabled_by_env",
     "default_cache",
     "default_cache_dir",
     "set_default_cache",

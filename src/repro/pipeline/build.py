@@ -140,47 +140,40 @@ def resolve_workers(
 
 
 def resolve_max_attempts(explicit: Optional[int] = None) -> int:
-    """Attempts per kernel: explicit > ``configure`` >
-    ``REPRO_MAX_ATTEMPTS`` > 3.  A malformed variable raises like
-    ``REPRO_WORKERS`` does."""
+    """Attempts per kernel: explicit > ``configure`` > 3."""
     for candidate in (explicit, _CONFIG.max_attempts):
         if candidate is not None:
             return candidate
-    return _positive_int_env("REPRO_MAX_ATTEMPTS") or 3
+    return 3
 
 
-def _positive_int_env(name: str) -> Optional[int]:
+def _positive_int_env(name: str, *, many: bool = False):
     """The positive integer in ``$name``, or ``None`` when unset/blank.
 
-    Anything else raises a ``ValueError`` naming the variable instead
-    of surfacing as a confusing failure deep in a pool or retry loop.
+    ``many=True`` reads a comma- or space-separated list of them into a
+    tuple instead.  Anything else raises a ``ValueError`` naming the
+    variable instead of surfacing as a confusing failure deep in a pool
+    or retry loop.
     """
     env = os.environ.get(name)
     if env is None or not env.strip():
         return None
+    tokens = env.replace(",", " ").split() if many else [env]
     try:
-        value = int(env)
-        if value > 0:
-            return value
+        values = tuple(int(tok) for tok in tokens)
+        if values and all(v > 0 for v in values):
+            return values if many else values[0]
     except ValueError:
         pass
-    raise ValueError(f"{name} must be a positive integer, got {env!r}")
+    kind = "a list of positive integers" if many else "a positive integer"
+    raise ValueError(f"{name} must be {kind}, got {env!r}")
 
 
 def resolve_timeout(explicit: Optional[float] = None) -> Optional[float]:
-    """Per-kernel deadline: explicit > ``configure`` > ``REPRO_TIMEOUT``."""
+    """Per-kernel deadline: explicit > ``configure`` > none."""
     for candidate in (explicit, _CONFIG.timeout):
         if candidate is not None:
             return float(candidate) if candidate > 0 else None
-    env = os.environ.get("REPRO_TIMEOUT")
-    if env is not None and env.strip():
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_TIMEOUT must be a number of seconds, got {env!r}"
-            ) from None
-        return value if value > 0 else None
     return None
 
 
@@ -253,9 +246,8 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
 
     The analytic timing model is near-constant; the dominant variable
     cost is guard-probability estimation, which executes the kernel for
-    up to ``GUARD_SAMPLE_ITERS`` inner iterations — through the kernel
-    compiler when enabled, through the tree-walking interpreter when
-    ``REPRO_COMPILE=0``.
+    up to ``GUARD_SAMPLE_ITERS`` inner iterations through the kernel
+    compiler.
 
     ``sweep_points`` models a DSE-style plan sweep over the kernel:
     beyond the first (already-counted) measurement, each extra plan
@@ -266,7 +258,6 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
     hosts on serial loops — for DSE measurement batches.
     """
     from ..ir.stmt import IfBlock
-    from ..sim.compile import compile_enabled
     from ..sim.measure import GUARD_SAMPLE_ITERS
 
     stmts = max(1, sum(1 for _ in kernel.stmts()))
@@ -278,11 +269,8 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
             if kernel.depth == 1
             else min(kernel.loops[0].trip, max(1, GUARD_SAMPLE_ITERS // 4))
         )
-        if compile_enabled():
-            # One-time compile + self-check, then a cheap compiled run.
-            work += 5000.0 + 0.02 * stmts * inner * outer
-        else:
-            work += 2.0 * stmts * inner * outer
+        # One-time compile + self-check, then a cheap compiled run.
+        work += 5000.0 + 0.02 * stmts * inner * outer
     if sweep_points > 1:
         work += (sweep_points - 1) * (400.0 + 30.0 * stmts)
     return work
@@ -327,7 +315,8 @@ def choose_strategy(
             1,
             1,
             total,
-            f"estimated work {total:.0f} below pool overhead {overhead:.0f}",
+            f"estimated savings {savings:.0f} of {total:.0f} work "
+            f"below pool overhead {overhead:.0f}",
         )
     mean = total / tasks
     chunk = max(
@@ -351,19 +340,17 @@ def static_prepass(kernels) -> None:
     """Verify + lint + range-check every kernel before measurement.
 
     Structural problems and lint *errors* are fatal — a malformed
-    kernel must never reach the measurement cache.  When range proofs
-    are live (``REPRO_RANGES`` != 0) a kernel the abstract interpreter
-    classifies ``proven-unsafe`` — an unguarded access whose exact
-    static index range leaves the wrap-legal window, so a full run
-    must fault — is rejected here too, before any executor tier gets
-    to segfault on it.  Results are memoized (per kernel object, with
+    kernel must never reach the measurement cache.  A kernel the
+    abstract interpreter classifies ``proven-unsafe`` — an unguarded
+    access whose exact static index range leaves the wrap-legal window,
+    so a full run must fault — is rejected here too, before any
+    executor tier gets to segfault on it.  Results are memoized (per kernel object, with
     the framework's analysis results shared) so repeated sweeps over
     the cached suite stay cheap.
     """
-    from ..analysis.framework.ranges import prove_safe, ranges_enabled
+    from ..analysis.framework.ranges import prove_safe
 
     am = default_manager()
-    check_ranges = ranges_enabled()
     for kern in kernels:
         if _PREPASS_SEEN.get(id(kern)) is kern:
             continue
@@ -375,14 +362,13 @@ def static_prepass(kernels) -> None:
             raise VerificationError(
                 "; ".join(r.message for r in errors), kern.name
             )
-        if check_ranges:
-            safety = prove_safe(kern, am)
-            if safety.classification == "proven-unsafe":
-                raise VerificationError(
-                    "range analysis proves an out-of-bounds access: "
-                    + "; ".join(safety.reasons),
-                    kern.name,
-                )
+        safety = prove_safe(kern, am)
+        if safety.classification == "proven-unsafe":
+            raise VerificationError(
+                "range analysis proves an out-of-bounds access: "
+                + "; ".join(safety.reasons),
+                kern.name,
+            )
         _PREPASS_SEEN[id(kern)] = kern
 
 
@@ -462,7 +448,7 @@ def measure_suite(
     always runs before the cache is consulted.
 
     Fault tolerance (see :mod:`.resilience`): each uncached kernel
-    gets ``timeout`` seconds per attempt (``REPRO_TIMEOUT``) and up to
+    gets ``timeout`` seconds per attempt and up to
     ``max_attempts`` tries (or a full ``retry`` policy); a kernel that
     exhausts them is *quarantined*.  With ``partial=True`` the sweep
     returns ``(samples, failures, report)`` — the surviving payloads
@@ -472,8 +458,8 @@ def measure_suite(
     ``REPRO_CHECKPOINT_DIR``), completed payloads stream into a
     journal and ``resume=True`` replays it, re-measuring only the
     kernels the interrupted sweep never finished.  ``faults`` injects
-    deterministic chaos (a :class:`FaultPlan` or ``REPRO_FAULTS``-style
-    string; default: the environment's plan).
+    deterministic chaos (a :class:`FaultPlan` or its string spec;
+    default: none).
 
     Scheduling is cost-aware: per-kernel work estimates decide between
     a serial sweep and a process pool (and its chunk size) so the
@@ -489,8 +475,6 @@ def measure_suite(
         retry = RetryPolicy(max_attempts=resolve_max_attempts(max_attempts))
     if isinstance(faults, str):
         faults = faultinject.parse_faults(faults)
-    elif faults is None:
-        faults = faultinject.plan_from_env()
     if resume is None:
         resume = bool(_CONFIG.resume)
 

@@ -11,8 +11,8 @@ Configuration:
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-vec``,
   honoring ``XDG_CACHE_HOME``);
-* ``REPRO_CACHE=off`` (or ``0``/``false``/``no``) — bypass entirely:
-  no reads, no writes, no stat counting.
+* ``--no-cache`` (``configure(cache_enabled=False)``) — bypass
+  entirely: no reads, no writes, no stat counting.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .fingerprint import PIPELINE_SCHEMA_VERSION
 #: distinguishes "not cached" from a legitimately-``None`` payload.
 MISS = object()
 
-_OFF_VALUES = {"off", "0", "false", "no"}
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -39,10 +37,6 @@ def default_cache_dir() -> Path:
         return Path(env).expanduser()
     base = Path(os.environ.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
     return base / "repro-vec"
-
-
-def cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "").strip().lower() not in _OFF_VALUES
 
 
 @dataclass
@@ -187,12 +181,10 @@ _DEFAULT: Optional[MeasurementCache] = None
 
 
 def default_cache() -> MeasurementCache:
-    """Process-wide cache honoring the ``REPRO_CACHE*`` environment."""
+    """Process-wide cache rooted at :func:`default_cache_dir`."""
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = MeasurementCache(
-            root=default_cache_dir(), enabled=cache_enabled_by_env()
-        )
+        _DEFAULT = MeasurementCache(root=default_cache_dir())
     return _DEFAULT
 
 

@@ -15,18 +15,11 @@ order — and shards are contiguous blocks of the input order, so
 concatenating shard outputs reproduces the serial output exactly.  The
 chaos harness (``repro.experiments chaos --corpus``) and the corpus
 bench gate both assert this.
-
-With ``stream_dir`` set, each finished shard's payload is pickled to
-disk and dropped from memory; the merge phase streams the shard files
-back in order.  Peak memory is then one shard, not the corpus — the
-point of sharding a 1,500+ kernel sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -57,9 +50,9 @@ class CorpusResult:
 def partition_names(names: Sequence[str], shards: int) -> list[list[str]]:
     """Contiguous near-even blocks, preserving input order.
 
-    Contiguity (rather than striding) is what lets the merge phase
-    stream shard payloads back in order: shard k's outputs are exactly
-    positions ``[lo_k, hi_k)`` of the serial sweep.
+    Contiguity (rather than striding) is what makes the merge a plain
+    concatenation: shard k's outputs are exactly positions
+    ``[lo_k, hi_k)`` of the serial sweep.
     """
     names = list(names)
     shards = max(1, min(int(shards), max(1, len(names))))
@@ -95,7 +88,6 @@ def measure_corpus(
     retry: Optional[RetryPolicy] = None,
     supervise: bool = True,
     faults: Union[FaultPlan, str, None] = None,
-    stream_dir: Optional[str] = None,
     checkpoint_dir=None,
     resume: Optional[bool] = None,
 ) -> CorpusResult:
@@ -116,9 +108,6 @@ def measure_corpus(
     shard_stats: list[DatasetBuildStats] = []
     all_samples: list = []
     all_failures: list = []
-    shard_files: list[str] = []
-    if stream_dir:
-        os.makedirs(stream_dir, exist_ok=True)
 
     for k, block in enumerate(blocks):
         kernels = [get_kernel(n) for n in block]
@@ -141,28 +130,8 @@ def measure_corpus(
         )
         shard_stats.append(stats)
         _merge_report(report, part)
-        if stream_dir:
-            path = os.path.join(
-                stream_dir, f"shard-{k:04d}-of-{len(blocks):04d}.pkl"
-            )
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "wb") as fh:
-                pickle.dump((samples, failures), fh)
-            os.replace(tmp, path)
-            shard_files.append(path)
-            del samples, failures, kernels  # peak memory = one shard
-        else:
-            all_samples.extend(samples)
-            all_failures.extend(failures)
-
-    if stream_dir:
-        # Stream the shard payloads back in corpus order; contiguity of
-        # the blocks makes this concatenation the serial-sweep order.
-        for path in shard_files:
-            with open(path, "rb") as fh:
-                samples, failures = pickle.load(fh)
-            all_samples.extend(samples)
-            all_failures.extend(failures)
+        all_samples.extend(samples)
+        all_failures.extend(failures)
 
     return CorpusResult(
         samples=all_samples,

@@ -8,13 +8,13 @@ fires or it doesn't for a given seed, so chaos tests can assert that
 retries drain every injected failure and the surviving samples are
 *bit-identical* to a fault-free sweep.
 
-Configuration mirrors the rest of the pipeline:
-
-* ``REPRO_FAULTS=crash:0.1,hang:0.05,corrupt_cache:0.1,flaky_exc:0.1``
-  — per-fault firing rates in ``[0, 1]``;
-* ``REPRO_FAULTS_SEED`` — plan seed (default 0);
-* ``REPRO_FAULTS_HANG_S`` — how long an injected hang sleeps
-  (default 30 s; set well above the supervisor's ``--timeout``).
+A plan is only ever passed explicitly — ``measure_suite(faults=…)``,
+``WorkerPool(fault_plan=…)`` or a ``--faults`` flag; the environment
+never injects one.  Its string spec
+``crash:0.1,hang:0.05,corrupt_cache:0.1,flaky_exc:0.1`` gives per-fault
+firing rates in ``[0, 1]``; ``hang_seconds`` (default 30 s) is how long
+an injected hang sleeps and belongs well above the supervisor's
+``--timeout``.
 
 Faults that need a sacrificial process (``crash`` hard-exits, ``hang``
 sleeps) only fire inside pool workers (:func:`mark_worker` is the pool
@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Mapping, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cache import MeasurementCache
 
-#: Fault kinds a plan may carry; anything else in ``REPRO_FAULTS`` is
-#: a configuration error, not a silently-ignored typo.
+#: Fault kinds a plan may carry; anything else in a fault spec is a
+#: configuration error, not a silently-ignored typo.
 FAULT_KINDS = ("crash", "hang", "corrupt_cache", "flaky_exc")
 
 #: Request-scoped fault kinds for the advisor service: a handler that
@@ -48,7 +48,7 @@ FAULT_KINDS = ("crash", "hang", "corrupt_cache", "flaky_exc")
 #: a registry entry whose bytes rot on disk.  Scheduled by the same
 #: ``sha256(seed:kind:request:attempt)`` draw as the sweep faults, so a
 #: service chaos run is exactly reproducible.  ``repro.serve`` applies
-#: them; ``REPRO_SERVE_FAULTS`` configures them.
+#: them from the plan its ``WorkerPool`` is given.
 SERVE_FAULT_KINDS = ("slow_handler", "worker_crash", "corrupt_registry")
 
 #: Every kind any plan may carry.
@@ -127,7 +127,7 @@ class FaultPlan:
         return draw < rate
 
     def spec(self) -> str:
-        """The ``REPRO_FAULTS``-style string this plan round-trips to."""
+        """The fault spec string this plan round-trips to."""
         return ",".join(f"{k}:{self.rates[k]:g}" for k in sorted(self.rates))
 
 
@@ -161,35 +161,6 @@ def parse_faults(
     if not rates:
         return None
     return FaultPlan(rates=rates, seed=seed, hang_seconds=hang_seconds)
-
-
-def plan_from_env() -> Optional[FaultPlan]:
-    """The plan ``REPRO_FAULTS``/``REPRO_FAULTS_SEED`` describes, if any."""
-    spec = os.environ.get("REPRO_FAULTS", "")
-    if not spec.strip():
-        return None
-    seed = int(os.environ.get("REPRO_FAULTS_SEED", "0"))
-    hang = float(os.environ.get("REPRO_FAULTS_HANG_S", "30"))
-    return parse_faults(spec, seed=seed, hang_seconds=hang)
-
-
-def serve_plan_from_env() -> Optional[FaultPlan]:
-    """The request-scoped plan ``REPRO_SERVE_FAULTS`` describes, if any.
-
-    Kept separate from :func:`plan_from_env` so a chaos run can fault
-    the serving layer without also faulting the measurement sweeps it
-    may trigger underneath (and vice versa).  ``REPRO_SERVE_FAULTS_SEED``
-    seeds it; the hang duration doubles as the ``slow_handler`` sleep
-    (``REPRO_SERVE_FAULTS_HANG_S``, default 30 s — set it above the
-    service deadline so an injected slowdown is indistinguishable from
-    a real hang).
-    """
-    spec = os.environ.get("REPRO_SERVE_FAULTS", "")
-    if not spec.strip():
-        return None
-    seed = int(os.environ.get("REPRO_SERVE_FAULTS_SEED", "0"))
-    hang = float(os.environ.get("REPRO_SERVE_FAULTS_HANG_S", "30"))
-    return parse_faults(spec, seed=seed, hang_seconds=hang)
 
 
 def perturb(plan: Optional[FaultPlan], kernel: str, attempt: int) -> None:
@@ -271,7 +242,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--faults",
         default="crash:0.05,flaky_exc:0.1",
-        help="REPRO_FAULTS-style spec to inject (default: %(default)s)",
+        help="fault spec to inject (default: %(default)s)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=2)

@@ -41,7 +41,7 @@ from typing import Optional
 from ..analysis.framework.diagnostics import Diagnostics, Severity
 from ..analysis.framework.lint import lint_kernel
 from ..analysis.framework.passmanager import default_manager
-from ..analysis.framework.ranges import prove_safe, ranges_enabled
+from ..analysis.framework.ranges import prove_safe
 from ..costmodel import matrix
 from ..costmodel.base import sample_from_measurement
 from ..costmodel.llvm_like import LLVMLikeCostModel
@@ -260,8 +260,6 @@ class Advisor:
                 "plan": self._plan_hint(kernel, target, entry),
             }
 
-        if not ranges_enabled():
-            degraded.append("range proofs disabled")
         if degraded:
             # One consolidated remark per request, however many
             # dimensions are degraded — clients grep for exactly one
@@ -323,14 +321,13 @@ class Advisor:
                     "kernel rejected by lint: "
                     + "; ".join(r.message for r in errors)
                 )
-            if ranges_enabled():
-                safety = prove_safe(kernel, self._am)
-                if safety.classification == "proven-unsafe":
-                    self.prepass_breaker.record_success()
-                    raise InvalidRequest(
-                        "range analysis proves an out-of-bounds access: "
-                        + "; ".join(safety.reasons)
-                    )
+            safety = prove_safe(kernel, self._am)
+            if safety.classification == "proven-unsafe":
+                self.prepass_breaker.record_success()
+                raise InvalidRequest(
+                    "range analysis proves an out-of-bounds access: "
+                    + "; ".join(safety.reasons)
+                )
         except VerificationError as exc:
             self.prepass_breaker.record_success()
             raise InvalidRequest(f"kernel fails verification: {exc}") from exc

@@ -243,8 +243,7 @@ def validate_entry(
     (a model poisoned by bad training data cannot ship).
     """
     if max_rmse is None:
-        env = os.environ.get("REPRO_SERVE_MAX_RMSE")
-        max_rmse = float(env) if env else DEFAULT_MAX_RMSE
+        max_rmse = DEFAULT_MAX_RMSE
     reasons: list[str] = []
     w = np.asarray(entry.weights, dtype=np.float64)
     if w.size == 0 or not np.all(np.isfinite(w)):

@@ -287,8 +287,7 @@ def main(argv=None) -> int:
         "--timeout",
         type=float,
         default=None,
-        help="per-request deadline in seconds (default: REPRO_SERVE_TIMEOUT "
-        "or 10)",
+        help="per-request deadline in seconds (default: 10)",
     )
     args = parser.parse_args(argv)
 

@@ -6,7 +6,8 @@ The pool is the service's load shedder and fault boundary:
   ``Retry-After`` hint *immediately* instead of letting latency
   collapse under overload;
 * **deadlines** — every request carries an absolute deadline
-  (``REPRO_SERVE_TIMEOUT`` seconds from admission); the dispatcher
+  (``timeout`` seconds from admission, 10 s unless ``serve --timeout``
+  says otherwise); the dispatcher
   waits on the ticket only that long and answers 503 the instant it
   expires, so no caller ever outlives its deadline waiting on us;
 * **supervision** — Python threads cannot be killed, so a worker that
@@ -15,7 +16,8 @@ The pool is the service's load shedder and fault boundary:
   worker, while the stuck thread is detached as a zombie whose late
   result is discarded (the ticket was already abandoned);
 * **chaos hooks** — a :class:`~repro.pipeline.faultinject.FaultPlan`
-  fires request-scoped faults (``slow_handler``, ``worker_crash``,
+  passed as ``fault_plan=`` (never taken from the environment) fires
+  request-scoped faults (``slow_handler``, ``worker_crash``,
   ``corrupt_registry``) deterministically by
   ``sha256(seed:kind:request:attempt)``; retries are new attempts, so
   faults drain exactly like the measurement sweep's.
@@ -35,11 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..pipeline.faultinject import (
-    FaultPlan,
-    InjectedWorkerCrash,
-    serve_plan_from_env,
-)
+from ..pipeline.faultinject import FaultPlan, InjectedWorkerCrash
 from .advisor import Advisor, AdvisorError
 
 #: Grace added to a deadline before a worker is declared hung.
@@ -49,32 +47,13 @@ HANG_GRACE_S = 0.25
 SUPERVISOR_TICK_S = 0.05
 
 
-def resolve_timeout() -> float:
-    env = os.environ.get("REPRO_SERVE_TIMEOUT")
-    try:
-        value = float(env) if env else 10.0
-    except ValueError:
-        value = 10.0
-    return max(value, 0.05)
+#: Defaults for ``serve --timeout`` / ``--queue``.
+DEFAULT_TIMEOUT_S = 10.0
+DEFAULT_QUEUE_SIZE = 64
 
 
-def resolve_queue_size() -> int:
-    env = os.environ.get("REPRO_SERVE_QUEUE")
-    try:
-        value = int(env) if env else 64
-    except ValueError:
-        value = 64
-    return max(value, 1)
-
-
-def resolve_workers() -> int:
-    env = os.environ.get("REPRO_SERVE_WORKERS")
-    try:
-        value = int(env) if env else 0
-    except ValueError:
-        value = 0
-    if value > 0:
-        return value
+def default_workers() -> int:
+    """Worker threads when ``serve --workers`` is not given: 2 to 4."""
     return min(4, max(2, (os.cpu_count() or 2)))
 
 
@@ -156,13 +135,11 @@ class WorkerPool:
         clock=None,
     ):
         self.advisor = advisor
-        self.workers = workers if workers is not None else resolve_workers()
-        self.timeout = timeout if timeout is not None else resolve_timeout()
+        self.workers = workers if workers is not None else default_workers()
+        self.timeout = timeout if timeout is not None else DEFAULT_TIMEOUT_S
         self.queue_size = (
-            queue_size if queue_size is not None else resolve_queue_size()
+            queue_size if queue_size is not None else DEFAULT_QUEUE_SIZE
         )
-        if fault_plan is None:
-            fault_plan = serve_plan_from_env()
         self.fault_plan = fault_plan
         if hang_s is None:
             hang_s = (

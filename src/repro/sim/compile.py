@@ -25,13 +25,13 @@ than ever returning unverified results.  Both generated paths evaluate
 operators through the shared tables in :mod:`.ufuncs`, so they cannot
 drift from the interpreter's arithmetic.
 
-``run_scalar`` routes here by default; ``REPRO_COMPILE=0`` opts out.
+``run_scalar`` always routes here first and interprets only the
+kernels this module refuses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -77,7 +77,6 @@ __all__ = [
     "CompiledKernel",
     "bit_identical",
     "clear_compile_cache",
-    "compile_enabled",
     "compile_stats",
     "compile_summary",
     "get_compiled",
@@ -137,10 +136,6 @@ _FP_MEMO_MAX = 1024
 _SELF_CHECK_ITERS = 16
 
 
-def compile_enabled() -> bool:
-    return os.environ.get("REPRO_COMPILE", "1") != "0"
-
-
 def kernel_fingerprint(kernel: LoopKernel) -> str:
     """Content digest of a kernel (name + printed source), memoized."""
     key = id(kernel)
@@ -155,21 +150,6 @@ def kernel_fingerprint(kernel: LoopKernel) -> str:
     while len(_FP_MEMO) > _FP_MEMO_MAX:
         _FP_MEMO.popitem(last=False)
     return digest
-
-
-def _cache_fp(kernel: LoopKernel) -> str:
-    """Cache key for compiled artifacts: content digest plus the
-    range-analysis consumer switch.
-
-    Generated code differs when ``REPRO_RANGES=0`` (no guard folding),
-    and parity tests flip the switch in-process — so the switch state
-    must be part of the key, or a toggle would be served a stale
-    function.
-    """
-    fp = kernel_fingerprint(kernel)
-    from ..analysis.framework.ranges import ranges_enabled
-
-    return fp if ranges_enabled() else fp + ":ranges-off"
 
 
 def compile_stats() -> CompileStats:
@@ -195,7 +175,6 @@ def compile_summary() -> dict:
     """
     s = _STATS
     return {
-        "enabled": compile_enabled(),
         "kernels_vector": s.vector,
         "kernels_scalar": s.scalar,
         "kernels_demoted": s.demoted,
@@ -288,7 +267,7 @@ def _affine_bounds_violation(kernel: LoopKernel) -> Optional[str]:
     gather/scatter — must be proven inside ``[0, extent)``.  Gather
     *contents* are runtime data and stay unchecked here: a bad index
     faults identically in scalar and vector mode.  This is tier
-    *eligibility*, not elision, so it is never gated on REPRO_RANGES.
+    *eligibility*, not elision.
     """
     from ..analysis.framework.passmanager import default_manager
     from ..analysis.framework.ranges import BoundsCheckPass
@@ -385,12 +364,11 @@ class _Emitter:
     lookups and no interpreter dispatch.
     """
 
-    def __init__(self, kernel: LoopKernel, vector: bool, plan=None, folds=None):
+    def __init__(self, kernel: LoopKernel, vector: bool, folds, plan=None):
         self.kernel = kernel
         self.vector = vector
         self.plan = plan
-        #: GuardRangeInfo with the fold-safe constant guards, or None
-        #: when range-driven folding is disabled (REPRO_RANGES=0).
+        #: GuardRangeInfo with the fold-safe constant guards.
         self.folds = folds
         self.lines: list[str] = []
         self.indent = 1
@@ -524,7 +502,7 @@ class _Emitter:
         elif isinstance(stmt, IfBlock):
             k = self._nguard
             self._nguard += 1
-            fold = self.folds.fold_of(stmt) if self.folds is not None else None
+            fold = self.folds.fold_of(stmt)
             self.emit(f"if not _gseen[{k}]:")
             self.emit(f"    _gorder.append({k})")
             self.emit(f"_gseen[{k}] += 1")
@@ -597,7 +575,7 @@ class _Emitter:
             self._nguard += 1
             c = f"_gc{k}"
             m = f"_gm{k}"
-            fold = self.folds.fold_of(stmt) if self.folds is not None else None
+            fold = self.folds.fold_of(stmt)
             cond = (
                 self.const(fold, DType.BOOL)
                 if fold is not None
@@ -635,17 +613,15 @@ def _guard_count(kernel: LoopKernel) -> int:
 
 
 def _guard_folds(kernel: LoopKernel):
-    """Fold-safe constant-guard info, or None when ``REPRO_RANGES=0``.
+    """Fold-safe constant-guard info of ``kernel``.
 
     Only the *pure* verdicts of :class:`GuardRangePass` land here —
     true for any caller-supplied scalars, with side-effect-free
     conditions — so folding can never change an observable result.
     """
     from ..analysis.framework.passmanager import default_manager
-    from ..analysis.framework.ranges import GuardRangePass, ranges_enabled
+    from ..analysis.framework.ranges import GuardRangePass
 
-    if not ranges_enabled():
-        return None
     return default_manager().get(GuardRangePass, kernel)
 
 
@@ -902,7 +878,7 @@ def get_compiled(kernel: LoopKernel, mode: str = "auto") -> CompiledKernel:
     fallback).  Forcing ``"vector"``/``"scalar"`` skips auto-resolution
     (used by tests); forcing an ineligible vector build raises.
     """
-    fp = _cache_fp(kernel)
+    fp = kernel_fingerprint(kernel)
     if mode == "auto":
         resolved = _AUTO.get(fp)
         if resolved is None:

@@ -2,10 +2,13 @@
 
 Two entry points:
 
-* :func:`run_scalar` interprets the kernel with C scalar semantics,
-  one iteration at a time, and records branch statistics (used both to
-  weight branchy scalar code in the timing model and as ground truth in
-  equivalence tests);
+* :func:`run_scalar` executes the kernel with C scalar semantics and
+  records branch statistics (used both to weight branchy scalar code in
+  the timing model and as ground truth in equivalence tests).  It runs
+  the compiled form from :mod:`.compile` and falls back to
+  :func:`run_scalar_interpreted`, the tree-walking interpreter, only
+  for kernels the compiler refuses; tests call the interpreter directly
+  as the reference the compiled tier must match bit for bit;
 * :func:`run_vector` emulates the *vectorized* execution of a plan:
   blocks of VF lanes, statement-at-a-time, if-converted masks, masked
   stores, lane-parallel reduction accumulators with a horizontal
@@ -18,7 +21,6 @@ the same buffers and live-out scalars (up to float reassociation).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -197,27 +199,23 @@ def run_scalar(
     """Execute the kernel with C scalar semantics, mutating ``bufs``.
 
     The hot-path entry point: routes through the kernel compiler
-    (:mod:`.compile`) unless ``REPRO_COMPILE=0``, falling back to the
-    tree-walking interpreter — the correctness oracle, pinned to the
-    compiled path by the suite-wide bit-identity tests — when
-    compilation is disabled or refuses the kernel.  ``max_inner_iters``
-    truncates the inner trip count (used for cheap branch-probability
-    estimation).
+    (:mod:`.compile`), falling back to the tree-walking interpreter —
+    the correctness oracle, pinned to the compiled path by the
+    suite-wide bit-identity tests — when the compiler refuses the
+    kernel.  ``max_inner_iters`` truncates the inner trip count (used
+    for cheap branch-probability estimation).
     """
-    fires_before = ufuncs.sqrt_guard_fires()
-    result = None
-    if os.environ.get("REPRO_COMPILE", "1") != "0":
-        from .compile import CompileError, run_scalar_compiled
+    from .compile import CompileError, run_scalar_compiled
 
-        try:
-            result = run_scalar_compiled(kernel, bufs, scalars, max_inner_iters)
-        except CompileError as exc:
-            _remark(
-                kernel,
-                f"kernel not compilable ({exc}); interpreting",
-                warning=True,
-            )
-    if result is None:
+    fires_before = ufuncs.sqrt_guard_fires()
+    try:
+        result = run_scalar_compiled(kernel, bufs, scalars, max_inner_iters)
+    except CompileError as exc:
+        _remark(
+            kernel,
+            f"kernel not compilable ({exc}); interpreting",
+            warning=True,
+        )
         result = run_scalar_interpreted(kernel, bufs, scalars, max_inner_iters)
     if ufuncs.sqrt_guard_fires() > fires_before:
         _remark(
@@ -325,7 +323,7 @@ def run_vector(
     bufs: dict[str, np.ndarray],
     scalars: Optional[dict] = None,
     *,
-    sanitize: Optional[bool] = None,
+    sanitize: bool = False,
 ) -> ExecResult:
     """Emulate the vectorized execution of ``plan``, mutating ``bufs``.
 
@@ -334,14 +332,12 @@ def run_vector(
     stores, lane-parallel reduction accumulators combined horizontally
     at the end, and a scalar tail for the remainder iterations.
 
-    ``sanitize=True`` (or ``REPRO_SANITIZE=1`` in the environment) runs
-    the vector-safety sanitizer first: the plan's claimed dependence
-    distances are cross-checked against the dynamically evaluated
-    addresses and a :class:`~repro.analysis.framework.sanitizer.SanitizerError`
-    is raised on any disagreement, before any buffer is mutated.
+    ``sanitize=True`` runs the vector-safety sanitizer first: the
+    plan's claimed dependence distances are cross-checked against the
+    dynamically evaluated addresses and a
+    :class:`~repro.analysis.framework.sanitizer.SanitizerError` is
+    raised on any disagreement, before any buffer is mutated.
     """
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") == "1"
     if sanitize:
         from ..analysis.framework.sanitizer import check_plan
 

@@ -10,6 +10,7 @@ paths must never be observably different.
 import numpy as np
 import pytest
 
+from repro.analysis.framework.diagnostics import Severity
 from repro.analysis.framework.passmanager import default_manager
 from repro.ir import fsqrt
 from repro.sim import (
@@ -27,8 +28,10 @@ from repro.sim import (
     run_scalar_compiled,
     run_scalar_interpreted,
 )
+from repro.sim import compile as compile_mod
 from repro.sim import executor, ufuncs
 from repro.sim.compile import _execute
+from repro.sim.measure import GUARD_SAMPLE_ITERS
 from repro.tsvc import all_kernels
 
 from tests.helpers import SMALL, build
@@ -116,44 +119,64 @@ def test_truncated_trips_bit_identity():
     assert mismatched == []
 
 
-def test_guard_prob_estimates_match_interpreter(monkeypatch):
-    """estimate_guard_probs routes through run_scalar; toggling the
-    compiler off must not change a single probability."""
-    guarded = [k for k in SUITE if k.name in ("s253", "s258", "s271", "s161")]
-    assert guarded
-    compiled = {}
-    for kernel in guarded:
+GUARDED = [k for k in SUITE if k.name in ("s253", "s258", "s271", "s161")]
+
+
+def test_guard_prob_estimates_match_interpreter():
+    """estimate_guard_probs runs the compiled tier through run_scalar;
+    every probability must equal the interpreter's on the same
+    truncated run."""
+    assert GUARDED
+    for kernel in GUARDED:
         clear_guard_prob_memo()
-        compiled[kernel.name] = estimate_guard_probs(kernel)
-    monkeypatch.setenv("REPRO_COMPILE", "0")
-    for kernel in guarded:
-        clear_guard_prob_memo()
-        assert estimate_guard_probs(kernel) == compiled[kernel.name]
+        ref = run_scalar_interpreted(
+            kernel,
+            make_buffers(kernel, seed=0),
+            max_inner_iters=GUARD_SAMPLE_ITERS,
+        )
+        assert estimate_guard_probs(kernel) == ref.guard_probs
 
 
-# -- routing and the REPRO_COMPILE switch ------------------------------------
+# -- routing and the interpreter fallback ------------------------------------
 
 
-def test_run_scalar_uses_compiled_path_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILE", raising=False)
+def test_run_scalar_uses_compiled_path_by_default():
     kernel = SUITE[0]
     before = compile_stats().runs_compiled
     run_scalar(kernel, make_buffers(kernel, seed=0))
     assert compile_stats().runs_compiled == before + 1
 
 
-def test_disable_env_restores_interpreter(monkeypatch):
-    """REPRO_COMPILE=0 must leave the compiler untouched and still
-    produce the interpreter's exact results."""
-    kernel = SUITE[0]
-    monkeypatch.setenv("REPRO_COMPILE", "0")
-    before = compile_stats().runs_compiled
+@pytest.mark.parametrize("kernel", GUARDED[:2], ids=lambda k: k.name)
+def test_run_scalar_falls_back_to_interpreter(monkeypatch, kernel):
+    """A kernel the compiler refuses is interpreted: bit-identical to
+    run_scalar_interpreted, with exactly one warning saying so."""
+
+    def refuse(*_args, **_kw):
+        raise CompileError("refused for the test")
+
+    monkeypatch.setattr(compile_mod, "run_scalar_compiled", refuse)
+    diags = default_manager().diagnostics
+
+    def warnings():
+        return [
+            r.message
+            for r in diags.remarks(
+                kernel=kernel.name,
+                pass_name="executor",
+                severity=Severity.WARNING,
+            )
+        ]
+
+    before = len(warnings())
     bufs = make_buffers(kernel, seed=0)
     got = run_scalar(kernel, bufs)
-    assert compile_stats().runs_compiled == before
     ref_bufs = make_buffers(kernel, seed=0)
     ref = run_scalar_interpreted(kernel, ref_bufs)
     assert bit_identical(ref, ref_bufs, got, bufs)
+    new = warnings()[before:]
+    assert len(new) == 1
+    assert "kernel not compilable (refused for the test)" in new[0]
 
 
 # -- fingerprint-keyed caching -----------------------------------------------
@@ -214,7 +237,6 @@ def test_clear_cache_forces_rebuild():
 def test_compile_summary_shape():
     summary = compile_summary()
     for key in (
-        "enabled",
         "kernels_vector",
         "kernels_scalar",
         "kernels_demoted",
@@ -266,7 +288,7 @@ def test_sweep_stats_record_tiers(tmp_path):
     from repro.experiments import DatasetSpec
     from repro.pipeline import MeasurementCache, measure_suite
     from repro.pipeline.build import DatasetBuildStats
-    from repro.sim import clear_compile_cache, compile_enabled
+    from repro.sim import clear_compile_cache
 
     clear_compile_cache()
     stats = DatasetBuildStats()
@@ -278,8 +300,5 @@ def test_sweep_stats_record_tiers(tmp_path):
     )
     assert samples
     assert stats.strategy == "serial"
-    if compile_enabled():
-        assert stats.tiers.get("vector", 0) + stats.tiers.get("scalar", 0) > 0
-        assert set(stats.tiers) <= {"vector", "scalar", "demoted", "interpreted"}
-    else:
-        assert stats.tiers == {}
+    assert stats.tiers.get("vector", 0) + stats.tiers.get("scalar", 0) > 0
+    assert set(stats.tiers) <= {"vector", "scalar", "demoted", "interpreted"}

@@ -7,9 +7,6 @@ and peak memory, never a single measured float.
 
 from __future__ import annotations
 
-import os
-import pickle
-
 import pytest
 
 from repro.experiments import ARM_LLV
@@ -74,6 +71,30 @@ class TestCorpusNames:
         monkeypatch.setenv("REPRO_E13_SIZES", "")
         assert len(e13_sizes()) >= 4  # the default learning curve
 
+    @pytest.mark.parametrize(
+        "var, bad",
+        [
+            ("REPRO_E13_SIZES", "30,abc"),
+            ("REPRO_E13_SIZES", "30,-1"),
+            ("REPRO_E13_EVAL", "0"),
+            ("REPRO_E13_EVAL", "-3"),
+            ("REPRO_E13_EVAL", "ten"),
+            ("REPRO_E13_SHARDS", "0"),
+            ("REPRO_E13_SHARDS", "-2"),
+        ],
+    )
+    def test_bad_e13_env_names_the_variable(self, monkeypatch, var, bad):
+        """A malformed E13 knob fails before any sweep, naming itself."""
+        import repro.experiments.corpus as e13
+
+        def no_sweep(*_args, **_kw):
+            raise AssertionError("swept despite a malformed knob")
+
+        monkeypatch.setattr(e13, "measure_corpus", no_sweep)
+        monkeypatch.setenv(var, bad)
+        with pytest.raises(ValueError, match=var):
+            e13.run_e13()
+
 
 class TestShardedBitIdentity:
     NAMES = sorted(kernel_names())[:8] + corpus_names(10, seed=3)
@@ -94,21 +115,6 @@ class TestShardedBitIdentity:
         assert _samples_equal(serial.samples, sharded.samples)
         assert serial.failures == sharded.failures
         assert not sharded.quarantined_names
-
-    def test_streamed_merge_equals_in_memory(self, tmp_path):
-        serial = self._serial()
-        streamed = measure_corpus(
-            self.NAMES, ARM_LLV, shards=3, workers=1,
-            supervise=False, cache=nocache(), stream_dir=str(tmp_path),
-        )
-        assert _samples_equal(serial.samples, streamed.samples)
-        files = sorted(os.listdir(tmp_path))
-        assert files == [f"shard-{k:04d}-of-0003.pkl" for k in range(3)]
-        with open(tmp_path / files[0], "rb") as fh:
-            samples, _ = pickle.load(fh)
-        assert [s.name for s in samples] == [
-            s.name for s in serial.samples[: len(samples)]
-        ]
 
     def test_per_shard_stats_are_collected(self):
         res = measure_corpus(

@@ -76,24 +76,6 @@ def test_resolve_workers_invalid_env_raises(monkeypatch, bad):
     assert resolve_workers(2) == 2
 
 
-@pytest.mark.parametrize("bad", ["three", "0", "-1", "2.5"])
-def test_invalid_max_attempts_env_names_the_variable(tmp_path, monkeypatch, bad):
-    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", bad)
-    with pytest.raises(ValueError, match="REPRO_MAX_ATTEMPTS"):
-        measure_suite(SPEC, cache=no_cache(tmp_path), kernels=[])
-
-
-def test_resolve_max_attempts_env(monkeypatch):
-    from repro.pipeline.build import resolve_max_attempts
-
-    monkeypatch.delenv("REPRO_MAX_ATTEMPTS", raising=False)
-    assert resolve_max_attempts() == 3
-    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "5")
-    assert resolve_max_attempts() == 5
-    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "three")
-    assert resolve_max_attempts(2) == 2  # explicit never reads the env
-
-
 def test_workers_capped_at_pending_kernels(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     assert resolve_workers(16, pending=3) == 3

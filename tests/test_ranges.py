@@ -27,7 +27,6 @@ from repro.analysis.framework.ranges import (
     GuardRangePass,
     crosscheck_kernel,
     prove_safe,
-    ranges_enabled,
 )
 from repro.analysis.ranges import (
     INT_BOUNDS,
@@ -221,25 +220,15 @@ class TestBoundsAndSafety:
         report = prove_safe(kern, AnalysisManager())
         assert report.classification == "unknown"
 
-    def test_prepass_rejects_proven_unsafe(self, monkeypatch):
+    def test_prepass_rejects_proven_unsafe(self):
         def body(k):
             a = k.array("a", extents=(64,))
             i = k.loop(64)
             a[i + 32] = a[i]
 
         kern = build("oob_prepass_probe", body, default_len=64)
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
         with pytest.raises(VerificationError, match="out-of-bounds"):
             static_prepass([kern])
-        # Opting out of range consumption also disarms the gate.
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        static_prepass([build("oob_prepass_probe2", body, default_len=64)])
-
-    def test_ranges_enabled_env_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-        assert ranges_enabled()
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        assert not ranges_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -283,47 +272,37 @@ class TestGuardFolding:
         assert info.init_verdicts == {0: True}
         assert info.fold_of(next(iter(kern.stmts()))) is None
 
-    def test_folded_source_differs_but_results_bit_identical(self, monkeypatch):
+    def test_folded_source_differs_but_results_bit_identical(self):
+        """Straight-line codegen folds both guards to literals — neither
+        comparison is left in the source — and stays bit-identical to
+        the unfolded interpreter."""
         kern = _fold_probe()
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-        ck1 = get_compiled(kern, "scalar")
-        assert "if True:" in ck1.source and "if False:" in ck1.source
-        bufs1 = make_buffers(kern, seed=3)
-        r1 = simcompile._execute(ck1, kern, bufs1, None, None)
-
-        monkeypatch.setenv("REPRO_RANGES", "0")
         clear_compile_cache()
-        ck0 = get_compiled(kern, "scalar")
-        assert ck0.source != ck1.source
-        assert "if True:" not in ck0.source
-        bufs0 = make_buffers(kern, seed=3)
-        r0 = simcompile._execute(ck0, kern, bufs0, None, None)
-
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
+        ck = get_compiled(kern, "scalar")
+        assert "if True:" in ck.source and "if False:" in ck.source
+        assert "_clt(" not in ck.source and "_cgt(" not in ck.source
+        bufs = make_buffers(kern, seed=3)
+        got = simcompile._execute(ck, kern, bufs, None, None)
         ref_bufs = make_buffers(kern, seed=3)
         ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, r1, bufs1)
-        assert bit_identical(ref, ref_bufs, r0, bufs0)
+        assert bit_identical(ref, ref_bufs, got, bufs)
         # Folding must keep the guard-statistics bookkeeping intact.
-        assert r1.guard_probs == {0: 1.0, 1: 0.0}
+        assert got.guard_probs == {0: 1.0, 1: 0.0}
 
-    def test_vector_tier_folds_and_matches(self, monkeypatch):
-        """The NumPy whole-loop closure folds the same guards and stays
-        bit-identical to the interpreter with folding on and off."""
+    def test_vector_tier_folds_and_matches(self):
+        """The NumPy whole-loop closure folds the same guards (neither
+        comparison is evaluated) and stays bit-identical to the
+        unfolded interpreter."""
         kern = _fold_probe()
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-        sources = []
-        for ranges in ("1", "0"):
-            monkeypatch.setenv("REPRO_RANGES", ranges)
-            clear_compile_cache()
-            ck = get_compiled(kern, "vector")
-            sources.append(ck.source)
-            bufs = make_buffers(kern, seed=5)
-            got = simcompile._execute(ck, kern, bufs, None, None)
-            ref_bufs = make_buffers(kern, seed=5)
-            ref = run_scalar_interpreted(kern, ref_bufs)
-            assert bit_identical(ref, ref_bufs, got, bufs)
-        assert sources[0] != sources[1]
+        clear_compile_cache()
+        ck = get_compiled(kern, "vector")
+        assert "_clt(" not in ck.source and "_cgt(" not in ck.source
+        bufs = make_buffers(kern, seed=5)
+        got = simcompile._execute(ck, kern, bufs, None, None)
+        ref_bufs = make_buffers(kern, seed=5)
+        ref = run_scalar_interpreted(kern, ref_bufs)
+        assert bit_identical(ref, ref_bufs, got, bufs)
+        assert got.guard_probs == ref.guard_probs == {0: 1.0, 1: 0.0}
 
     def test_shift_count_proven_in_width(self):
         def body(k):

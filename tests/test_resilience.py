@@ -410,16 +410,31 @@ def test_dataset_carries_quarantine_report():
     assert quarantine_summary(FailureReport()) == "none"
 
 
-def test_env_faults_spec_parsing(monkeypatch):
-    from repro.pipeline import plan_from_env
+def test_environment_never_injects_faults(tmp_path, monkeypatch):
+    """A fault plan comes only from an explicit argument: fault specs in
+    the shell cannot leak into a clean sweep or a clean service pool."""
+    from repro.serve import Advisor, ModelRegistry
+    from repro.serve.workers import WorkerPool
+    from repro.tsvc import get_kernel
 
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    assert plan_from_env() is None
-    monkeypatch.setenv("REPRO_FAULTS", "flaky_exc:0.25")
-    monkeypatch.setenv("REPRO_FAULTS_SEED", "9")
-    plan = plan_from_env()
-    assert plan.rate("flaky_exc") == 0.25
-    assert plan.seed == 9
+    # Fault specs exported under the sweep and service names are ignored.
+    for scope in ("", "SERVE_"):
+        monkeypatch.setenv(f"REPRO_{scope}FAULTS", "flaky_exc:1.0,worker_crash:0.5")
+    pool = WorkerPool(Advisor(ModelRegistry(tmp_path / "reg")), fault_plan=None)
+    assert pool.fault_plan is None
+
+    kernels = [get_kernel(n) for n in ("s000", "s111", "s1112")]
+    samples, failures, report = measure_suite(
+        SPEC,
+        workers=1,
+        cache=no_cache(tmp_path),
+        retry=FAST,
+        faults=None,
+        partial=True,
+        kernels=kernels,
+    )
+    assert report.quarantined == [] and report.retries == 0
+    assert len(samples) + len(failures) == len(kernels)
 
 
 # -- journal schema versioning ----------------------------------------------

@@ -47,6 +47,16 @@ class TestChooseStrategy:
         assert d.strategy == "serial"
         assert "below pool overhead" in d.reason
 
+    def test_serial_reason_prints_the_savings_it_compares(self, monkeypatch):
+        """The rule weighs savings, total·(1−1/workers), against the
+        spawn overhead; the reason must print that number, not the
+        total (541000 here, which exceeds the overhead)."""
+        cpu_count(monkeypatch, 8)
+        d = choose_strategy([54100.0] * 10, workers=2)
+        assert d.strategy == "serial" and d.estimated_work == 541000.0
+        assert "savings 270500" in d.reason
+        assert "below pool overhead 500000" in d.reason
+
     def test_large_work_uses_pool(self, monkeypatch):
         cpu_count(monkeypatch, 8)
         work = [POOL_SPAWN_WORK] * 64

@@ -132,7 +132,7 @@ def test_verdict_is_deterministic(advisor):
     assert canonical_verdict(a) == canonical_verdict(b)
 
 
-def test_guard_probs_run_on_compiled_tier_bit_identical(advisor, monkeypatch):
+def test_guard_probs_run_on_compiled_tier_bit_identical(advisor):
     from repro.frontend import parse_kernel
     from repro.sim import (
         GUARD_SAMPLE_ITERS,
@@ -141,7 +141,6 @@ def test_guard_probs_run_on_compiled_tier_bit_identical(advisor, monkeypatch):
         run_scalar_interpreted,
     )
 
-    monkeypatch.setenv("REPRO_COMPILE", "1")
     publish_model(advisor)
     before = compile_summary()["runs_compiled"]
     resp = advisor.advise({"kernel": GUARDED})

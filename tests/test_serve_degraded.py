@@ -1,7 +1,8 @@
 """Degraded-mode matrix: every combination answers, none ever raises.
 
 The grid crosses the two availability dimensions of the advisor —
-model published × range proofs enabled — and asserts that every cell
+model published × analysis prepass available (its breaker closed) —
+and asserts that every cell
 (a) returns a verdict, (b) emits exactly one consolidated
 ``-Rpass-missed=serve`` remark when anything is degraded and none when
 healthy, and (c) produces the same verdict bits as every other cell
@@ -45,16 +46,23 @@ def fitted_entry():
 GRID = list(itertools.product([True, False], repeat=2))
 
 
-@pytest.mark.parametrize("with_model, ranges_on", GRID)
-def test_degraded_cell_returns_verdict_with_one_remark(
-    tmp_path, monkeypatch, fitted_entry, with_model, ranges_on
-):
-    monkeypatch.setenv("REPRO_RANGES", "1" if ranges_on else "0")
-
-    registry = ModelRegistry(tmp_path / "registry")
-    if with_model:
-        registry.publish(fitted_entry)
+def make_advisor(root, entry, prepass_ok):
+    registry = ModelRegistry(root)
+    if entry is not None:
+        registry.publish(entry)
     advisor = Advisor(registry)
+    if not prepass_ok:
+        advisor.prepass_breaker.force_open()
+    return advisor
+
+
+@pytest.mark.parametrize("with_model, prepass_ok", GRID)
+def test_degraded_cell_returns_verdict_with_one_remark(
+    tmp_path, fitted_entry, with_model, prepass_ok
+):
+    advisor = make_advisor(
+        tmp_path / "registry", fitted_entry if with_model else None, prepass_ok
+    )
 
     resp = advisor.advise({"kernel": GUARDED})  # must never raise
 
@@ -65,9 +73,10 @@ def test_degraded_cell_returns_verdict_with_one_remark(
     )
 
     # The advisory plan field rides along exactly when a model is
-    # published: availability degradations never strip it, and it
-    # never adds a degraded clause (asserted via the counts below).
-    if with_model:
+    # published and the prepass is available (plan enumeration leans on
+    # the prepass analyses); it never adds a degraded clause (asserted
+    # via the counts below).
+    if with_model and prepass_ok:
         assert resp["plan"] is not None
         assert resp["plan"]["label"]
         assert resp["plan"]["predicted_speedup"] > 0
@@ -75,30 +84,30 @@ def test_degraded_cell_returns_verdict_with_one_remark(
     else:
         assert resp["plan"] is None
 
-    anything_degraded = not with_model or not ranges_on
+    anything_degraded = not with_model or not prepass_ok
     serve_remarks = [r for r in resp["remarks"] if r["pass"] == "serve"]
     assert len(serve_remarks) == (1 if anything_degraded else 0)
     if anything_degraded:
         assert serve_remarks[0]["flag"] == "-Rpass-missed"
         assert serve_remarks[0]["severity"] == "warning"
         # The remark's clause count matches the degraded dimensions.
-        expected_clauses = sum((not with_model, not ranges_on))
+        expected_clauses = sum((not with_model, not prepass_ok))
         assert len(resp["degraded"]) == expected_clauses
         assert serve_remarks[0]["args"]["degraded"] == str(expected_clauses)
 
 
 @pytest.mark.parametrize("with_model", [True, False])
 def test_verdict_bits_invariant_across_degradations(
-    tmp_path, monkeypatch, fitted_entry, with_model
+    tmp_path, fitted_entry, with_model
 ):
     """Both availability cells of one model group agree bit-for-bit."""
     cores = set()
-    for ranges_on in (True, False):
-        monkeypatch.setenv("REPRO_RANGES", "1" if ranges_on else "0")
-        registry = ModelRegistry(tmp_path / f"reg-{ranges_on}")
-        if with_model:
-            registry.publish(fitted_entry)
-        advisor = Advisor(registry)
+    for prepass_ok in (True, False):
+        advisor = make_advisor(
+            tmp_path / f"reg-{prepass_ok}",
+            fitted_entry if with_model else None,
+            prepass_ok,
+        )
         cores.add(canonical_verdict(advisor.advise({"kernel": GUARDED})))
     assert len(cores) == 1
 
